@@ -29,7 +29,7 @@ def _apply_overrides(cfg, args):
         cfg["grid"]["side"] = args.grid
     if getattr(args, "snr_db", None) is not None:
         cfg["rx"]["snr_db"] = args.snr_db
-    return cfg
+    return validate_config(cfg)
 
 
 def _out_dir(args) -> Path:

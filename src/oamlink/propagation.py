@@ -1,33 +1,69 @@
 """Free-space propagation of sampled scalar fields and obstruction masks.
 
-Propagation uses the band-limited angular-spectrum method: FFT the field,
-advance every propagating plane-wave component by exp(j*dz*kz), zero the
-evanescent components, and clip the transfer function beyond the
-anti-aliasing band limit tied to the step size and grid extent.  Long hops
-should be split into sub-steps (see ``propagate_to``) so the band limit
-stays generous.
+Propagation uses the band-limited angular-spectrum method (Matsushima &
+Shimobaba, Opt. Express 17, 19662, 2009): FFT the field, advance every
+propagating plane-wave component by exp(j*dz*kz), zero the evanescent
+components, and clip the transfer function beyond the anti-aliasing band
+limit tied to the step size and grid extent.  Long hops should be split
+into sub-steps (see ``propagate_to``) so the band limit stays generous.
+
+A step costs one forward FFT (``scipy.fft``, complex128), one in-place
+multiply by the transfer function H and one inverse FFT.  H depends only
+on (side, extent, wavelength, dz, band_limited), so it is built once per
+key and kept, read-only, in a least-recently-used cache of
+``_TRANSFER_CACHE_SIZE`` = 4 entries: the four hop lengths of the default
+experiment (10, 1, 4 and 5 m).  Each entry holds H (``side**2 * 16``
+bytes, 16 MiB at 1024^2) and its kept-band mask (``side**2`` bytes).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .errors import GeometryError, OutOfExtentError, PlaneMismatchError, SamplingError
 from .field import ScalarField
 
+_TRANSFER_CACHE_SIZE = 4
 
-def _spatial_frequencies(f: ScalarField):
-    fx = np.fft.fftfreq(f.side, d=f.spacing)
-    return np.meshgrid(fx, fx)  # FX varies along columns, FY along rows
+
+def _band_limit(extent: float, wavelength: float, dz: float) -> float:
+    dfreq = 1.0 / extent
+    return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * wavelength)
 
 
 def band_limit_frequency(f: ScalarField, dz: float) -> float:
     """Anti-aliasing limit on |fx| (and |fy|) for one step of length dz."""
-    dfreq = 1.0 / f.extent
-    return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * f.wavelength)
+    return _band_limit(f.extent, f.wavelength, dz)
+
+
+@functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
+def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
+                       band_limited: bool):
+    """Read-only (H, keep) for one step: H = exp(j*2*pi*dz*sqrt(1/lambda^2 -
+    fx^2 - fy^2)) on the kept band, 0 elsewhere; ``keep`` marks the
+    propagating (and, if ``band_limited``, in-band) components."""
+    fx = np.fft.fftfreq(side, d=extent / side)
+    fx2 = fx * fx
+    kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
+    keep = kz_sq > 0
+    if band_limited:
+        in_band = np.abs(fx) <= _band_limit(extent, wavelength, dz)
+        keep &= in_band[None, :] & in_band[:, None]
+    phase = np.maximum(kz_sq, 0.0, out=kz_sq)
+    np.sqrt(phase, out=phase)
+    phase *= 2.0 * np.pi
+    phase *= dz
+    transfer = phase * 1j
+    np.exp(transfer, out=transfer)
+    transfer *= keep
+    transfer.flags.writeable = False
+    keep.flags.writeable = False
+    return transfer, keep
 
 
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
@@ -39,28 +75,17 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
     """
     if dz <= 0:
         raise GeometryError("dz must be positive")
-    FX, FY = _spatial_frequencies(field)
-    inv_lam2 = 1.0 / field.wavelength ** 2
-    kz_sq = inv_lam2 - FX ** 2 - FY ** 2
-    propagating = kz_sq > 0
-
-    keep = propagating
-    if band_limited:
-        f_lim = band_limit_frequency(field, dz)
-        keep = keep & (np.abs(FX) <= f_lim) & (np.abs(FY) <= f_lim)
-
-    spectrum = np.fft.fft2(field.samples)
+    transfer, keep = _transfer_function(field.side, field.extent,
+                                        field.wavelength, dz, band_limited)
+    spectrum = fft.fft2(field.samples)
     if max_truncation is not None:
         total = float(np.sum(np.abs(spectrum) ** 2))
         kept = float(np.sum(np.abs(spectrum[keep]) ** 2))
         if total > 0 and 1.0 - kept / total > max_truncation:
             raise SamplingError(
                 "field angular bandwidth exceeds the grid's representable range")
-
-    transfer = np.zeros_like(spectrum)
-    kz = 2.0 * np.pi * np.sqrt(np.where(keep, kz_sq, 0.0))
-    transfer[keep] = np.exp(1j * dz * kz[keep])
-    out = np.fft.ifft2(spectrum * transfer)
+    spectrum *= transfer
+    out = fft.ifft2(spectrum, overwrite_x=True)
     return field.with_samples(out, z=field.z_position + dz)
 
 
@@ -79,18 +104,25 @@ def propagate_to(field: ScalarField, z_target: float, max_step: float = 10.0,
     for _ in range(n_steps):
         out = propagate(out, step)
         if edge_margin > 0:
-            out = _absorb_edges(out, edge_margin)
+            _absorb_edges(out.samples, edge_margin)
     return out
 
 
-def _absorb_edges(field: ScalarField, margin: float) -> ScalarField:
-    n = field.side
+def _absorb_edges(samples: np.ndarray, margin: float) -> None:
+    """Taper the outer ``margin`` of the grid in place: a raised-cosine ramp
+    along the rows, then along the columns.  The window is 1 inside the
+    margin, so only the border strips are touched."""
+    n = samples.shape[0]
     m = max(2, int(margin * n))
     w = np.ones(n)
     ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
     w[:m] = ramp
     w[n - m:] = ramp[::-1]
-    return field.with_samples(field.samples * np.outer(w, w))
+    m = min(m, n // 2)   # strips meet, not overlap, when the margin is wide
+    samples[:m] *= w[:m, None]
+    samples[n - m:] *= w[n - m:, None]
+    samples[:, :m] *= w[:m]
+    samples[:, n - m:] *= w[n - m:]
 
 
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
@@ -101,11 +133,12 @@ def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
     """
     if not 0 < theta_max < np.pi / 2:
         raise GeometryError("theta_max must lie in (0, pi/2)")
-    FX, FY = _spatial_frequencies(field)
+    fx = np.fft.fftfreq(field.side, d=field.spacing)
+    fx2 = fx * fx
     f_max = math.sin(theta_max) / field.wavelength
-    keep = FX ** 2 + FY ** 2 <= f_max ** 2
-    spectrum = np.fft.fft2(field.samples) * keep
-    return field.with_samples(np.fft.ifft2(spectrum))
+    spectrum = fft.fft2(field.samples)
+    spectrum *= fx2[None, :] + fx2[:, None] <= f_max ** 2
+    return field.with_samples(fft.ifft2(spectrum, overwrite_x=True))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import scipy
 from . import __version__
 from .analysis import HealingCurve, azimuthal_spectrum, field_similarity
 from .beams import SourceRing, matched_radius, synthesize_source_field
+from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
 from .field import write_field
 from .link_design import (LinkBudget, compare_with_reference, derive_link,
@@ -133,6 +135,18 @@ def validate_config(cfg: dict) -> dict:
         _require(merged, path, kind)
     if not merged["modes"]:
         raise ConfigError("modes", "must list at least one OAM order")
+    for order in merged["modes"]:
+        if isinstance(order, bool) or not isinstance(order, int) \
+                or order == 0 or abs(order) > MAX_ORDER:
+            raise ConfigError("modes", f"each order must be a nonzero integer "
+                                       f"with |l| <= {MAX_ORDER}, got {order!r}")
+    side = merged["grid"]["side"]
+    if side < 64 or side & (side - 1):
+        raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
+    if merged["rx"]["num_noise_seeds"] < 1:
+        raise ConfigError("rx.num_noise_seeds", "must be at least 1")
+    if math.isnan(merged["rx"]["snr_db"]):
+        raise ConfigError("rx.snr_db", "must not be NaN")
     if merged["obstruction"]["enabled"] and \
             merged["obstruction"]["z_m"] >= merged["link"]["distance_m"]:
         raise ConfigError("obstruction.z_m", "must lie before the receiver plane")

@@ -12,7 +12,8 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing,
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import (GeometryError, OutOfExtentError,
                             PlaneMismatchError, SamplingError)
-from oamlink.propagation import band_limit_frequency, propagate_to
+from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _transfer_function,
+                                 band_limit_frequency, propagate_to)
 
 
 def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
@@ -120,6 +121,79 @@ def test_zero_distance_rejected_and_z_bookkeeping():
     assert g.z_position == pytest.approx(0.25)
 
 
+def _transfer_from_formula(f, dz, band_limited=True):
+    """H written out from the module docstring's formula on meshgrid planes."""
+    fx = np.fft.fftfreq(f.side, d=f.spacing)
+    FX, FY = np.meshgrid(fx, fx)
+    kz_sq = 1.0 / f.wavelength ** 2 - FX ** 2 - FY ** 2
+    keep = kz_sq > 0
+    if band_limited:
+        f_lim = band_limit_frequency(f, dz)
+        keep &= (np.abs(FX) <= f_lim) & (np.abs(FY) <= f_lim)
+    phase = 2 * np.pi * dz * np.sqrt(np.where(keep, kz_sq, 0.0))
+    return np.where(keep, np.exp(1j * phase), 0.0)
+
+
+@pytest.mark.parametrize("band_limited", [True, False])
+def test_cached_transfer_matches_formula(band_limited):
+    # 2 mm spacing: 1/lambda lies inside the grid band, so both the
+    # evanescent cut and (for long steps) the band limit are exercised
+    f = _bandlimited_field(extent=0.128, sin_max=0.3, sigma=0.01)
+    for dz in (0.5, 3.0):
+        ref = _transfer_from_formula(f, dz, band_limited)
+        for _ in range(2):   # build, then cache hit
+            g = propagate(f, dz, band_limited=band_limited)
+            expected = np.fft.ifft2(np.fft.fft2(f.samples) * ref)
+            assert np.max(np.abs(g.samples - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+        transfer, keep = _transfer_function(f.side, f.extent, f.wavelength,
+                                            dz, band_limited)
+        assert np.array_equal(keep, ref != 0)
+        assert np.max(np.abs(transfer - ref)) <= 1e-12
+
+
+def test_cached_transfer_is_read_only():
+    f = _bandlimited_field()
+    transfer, keep = _transfer_function(f.side, f.extent, f.wavelength, 0.5,
+                                        True)
+    with pytest.raises(ValueError):
+        transfer[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        transfer *= 2.0
+    with pytest.raises(ValueError):
+        keep[0, 0] = False
+
+
+def test_cache_keys_on_step_and_band_limit():
+    f = _bandlimited_field(extent=0.128, sin_max=0.3, sigma=0.01)
+    _transfer_function.cache_clear()
+    propagate(f, 0.5)
+    propagate(f, 0.5)
+    assert _transfer_function.cache_info().currsize == 1
+    assert _transfer_function.cache_info().hits == 1
+    propagate(f, 3.0)
+    propagate(f, 3.0, band_limited=False)
+    assert _transfer_function.cache_info().currsize == 3
+    key = (f.side, f.extent, f.wavelength)
+    h_short, _ = _transfer_function(*key, 0.5, True)
+    h_long, _ = _transfer_function(*key, 3.0, True)
+    h_open, keep_open = _transfer_function(*key, 3.0, False)
+    assert not np.array_equal(h_short, h_long)
+    # a long step clips the band; without the limit more components survive
+    assert np.count_nonzero(h_open) > np.count_nonzero(h_long)
+    assert np.count_nonzero(keep_open) == np.count_nonzero(h_open)
+
+
+def test_cache_stays_within_its_bound():
+    f = _bandlimited_field()
+    _transfer_function.cache_clear()
+    for dz in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 0.1):
+        propagate(f, dz)
+        assert _transfer_function.cache_info().currsize <= _TRANSFER_CACHE_SIZE
+    assert _TRANSFER_CACHE_SIZE == 4
+    assert _transfer_function.cache_info().currsize == _TRANSFER_CACHE_SIZE
+
+
 def test_band_limit_frequency_formula():
     f = _bandlimited_field()
     dz = 2.0
@@ -139,8 +213,9 @@ def test_max_truncation_guard():
     # 1 mm spacing: the white spectrum reaches far past 1/lambda, so most of
     # it is evanescent or beyond the anti-aliasing band
     hot = ScalarField(u, 0.064, 0.0, 0.0107)
-    with pytest.raises(SamplingError):
-        propagate(hot, 0.5, max_truncation=0.01)
+    for _ in range(2):   # the second call reuses the cached transfer function
+        with pytest.raises(SamplingError):
+            propagate(hot, 0.5, max_truncation=0.01)
     # a compliant field passes with the same guard
     propagate(_bandlimited_field(), 0.5, max_truncation=0.01)
 
@@ -163,6 +238,27 @@ def test_edge_absorber_tapers_border():
     assert np.all(np.abs(g.samples[0, :]) == 0.0)
     assert np.all(np.abs(g.samples[:, 0]) == 0.0)
     assert g.power() < f.power()
+
+
+@pytest.mark.parametrize("margin", [0.05, 0.6])
+def test_edge_absorber_matches_window_and_spares_input(margin):
+    f = _bandlimited_field()
+    before = f.samples.copy()
+    g = propagate_to(f, 1.2, max_step=0.6, edge_margin=margin)
+    assert np.array_equal(f.samples, before)   # input untouched
+    assert g.samples is not f.samples
+    # reference: the 2-D raised-cosine window applied after each step; a
+    # margin past half the grid lets the falling ramp overwrite the rising one
+    n, m = f.side, max(2, int(margin * f.side))
+    w = np.ones(n)
+    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
+    w[:m], w[n - m:] = ramp, ramp[::-1]
+    ref = f
+    for _ in range(2):
+        ref = propagate(ref, 0.6)
+        ref = ref.with_samples(ref.samples * np.outer(w, w))
+    assert np.max(np.abs(g.samples - ref.samples)) \
+        <= 1e-14 * np.max(np.abs(ref.samples))
 
 
 def test_angular_bandlimit():

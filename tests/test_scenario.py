@@ -52,6 +52,39 @@ def test_unknown_and_mistyped_fields():
         assert "grid.side" in str(e)
 
 
+def _config_error_field(cfg):
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    return err.value.field
+
+
+def test_num_noise_seeds_must_be_positive():
+    assert _config_error_field({"rx": {"num_noise_seeds": 0}}) \
+        == "rx.num_noise_seeds"
+    assert validate_config({"rx": {"num_noise_seeds": 1}})
+
+
+@pytest.mark.parametrize("side", [100, 32, 0, -64])
+def test_grid_side_must_be_power_of_two_from_64(side, tmp_path, capsys):
+    assert _config_error_field({"grid": {"side": side}}) == "grid.side"
+    # a command-line override goes through the same check
+    rc = main(["simulate", "--grid", str(side), "--mode", "2",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "grid.side" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("modes", [[40], [-17], [2, 0], [2.0], [True]])
+def test_modes_must_be_nonzero_integers_up_to_16(modes):
+    assert _config_error_field({"modes": modes}) == "modes"
+    assert validate_config({"modes": [-16, 16]})["modes"] == [-16, 16]
+
+
+def test_snr_must_not_be_nan():
+    assert _config_error_field({"rx": {"snr_db": float("nan")}}) == "rx.snr_db"
+    assert validate_config({"rx": {"snr_db": float("inf")}})
+
+
 def test_ring_radius_lookup_and_matching():
     cfg = validate_config({})
     assert ring_radius_for(cfg, 2) == 0.149
