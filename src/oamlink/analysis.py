@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, NyquistError, PlaneMismatchError
+from .errors import GeometryError, NyquistError
 from .field import ScalarField
 from .propagation import ObstructionMask, apply_mask, propagate_to, sample_points
 from .wavevector import beam_radius_at
@@ -30,6 +30,27 @@ class HealingCurve:
     z_values: list
     similarity: list
     mode_purity: list
+
+    def add(self, z: float, clear: ScalarField,
+            obstructed: ScalarField | None, order_l: int, ring_radius: float,
+            max_mode: int = 8) -> None:
+        """Append plane ``z``: the similarity and mode purity of the
+        obstructed beam against the clear one, on the annulus the
+        conical-spread estimate puts around a ring of ``ring_radius``.
+        Without an obstructed beam the clear one is its own reference:
+        similarity 1, purity of the clear beam."""
+        beam_r = beam_radius_at(z, order_l, ring_radius, clear.wavenumber)
+        beam_r = min(beam_r, (clear.extent / 2.0 - clear.spacing) / 1.5)
+        if obstructed is None:
+            similarity, beam = 1.0, clear
+        else:
+            similarity = field_similarity(obstructed, clear,
+                                          (0.5 * beam_r, 1.5 * beam_r))
+            beam = obstructed
+        purity = azimuthal_spectrum(beam, beam_r, max_mode).purity(order_l)
+        self.z_values.append(z)
+        self.similarity.append(similarity)
+        self.mode_purity.append(purity)
 
 
 def azimuthal_spectrum(field: ScalarField, ring_radius: float, max_mode: int,
@@ -80,6 +101,41 @@ def field_similarity(obstructed: ScalarField, clear: ScalarField,
     return float(np.abs(np.vdot(u, v)) ** 2 / (nu * nv))
 
 
+def advance_beams(source: ScalarField, mask: ObstructionMask | None, z_planes,
+                  max_step: float = 10.0, edge_margin: float = 0.05,
+                  keep_clear: bool = True):
+    """Carry the clear beam from ``source`` and, behind ``mask``, the
+    obstructed beam through the strictly increasing ``z_planes``.
+
+    Yields ``(z, clear, obstructed)`` at the mask plane (obstructed is the
+    masked field there), then at each plane of ``z_planes``; all of them
+    must lie beyond the mask.  Both beams share the hop to the mask.  Past
+    it the clear beam is carried only if ``keep_clear``; a beam not carried
+    is None, as is the obstructed beam when ``mask`` is None.  The walk
+    keeps no field it no longer advances, so a caller that wants memory to
+    stay flat must not hold a yielded field while the walk goes on.
+    """
+    z_planes = list(z_planes)
+    if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
+        raise GeometryError("planes must be strictly increasing")
+    if mask is not None and z_planes and z_planes[0] <= mask.z_position:
+        raise GeometryError("all planes must lie beyond the obstruction")
+    clear, obstructed = source, None
+    del source
+    if mask is not None:
+        clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
+        obstructed = apply_mask(clear, mask)
+        if not keep_clear:
+            clear = None
+        yield mask.z_position, clear, obstructed
+    for z in z_planes:
+        if clear is not None:
+            clear = propagate_to(clear, z, max_step, edge_margin)
+        if obstructed is not None:
+            obstructed = propagate_to(obstructed, z, max_step, edge_margin)
+        yield z, clear, obstructed
+
+
 def healing_curve(source: ScalarField, mask: ObstructionMask, order_l: int,
                   ring_radius: float, z_samples,
                   max_step: float = 10.0, edge_margin: float = 0.05,
@@ -91,30 +147,9 @@ def healing_curve(source: ScalarField, mask: ObstructionMask, order_l: int,
     of the transmitting ring (sets the per-plane analysis annulus through
     the conical-spread estimate).  ``mask`` may be None for a control run.
     """
-    z_samples = list(z_samples)
-    if any(b <= a for a, b in zip(z_samples, z_samples[1:])):
-        raise GeometryError("z_samples must be strictly increasing")
-    if mask is not None and z_samples and z_samples[0] <= mask.z_position:
-        raise GeometryError("all z_samples must lie beyond the obstruction")
-
-    k = source.wavenumber
-    if mask is not None:
-        at_mask = propagate_to(source, mask.z_position, max_step, edge_margin)
-        clear = at_mask
-        obstructed = apply_mask(at_mask, mask)
-    else:
-        clear = source
-        obstructed = source
-
-    sims, purities, zs = [], [], []
-    for z in z_samples:
-        clear = propagate_to(clear, z, max_step, edge_margin)
-        obstructed = propagate_to(obstructed, z, max_step, edge_margin)
-        beam_r = beam_radius_at(z, order_l, ring_radius, k)
-        beam_r = min(beam_r, (clear.extent / 2.0 - clear.spacing) / 1.5)
-        sims.append(field_similarity(obstructed, clear,
-                                     (0.5 * beam_r, 1.5 * beam_r)))
-        spec = azimuthal_spectrum(obstructed, beam_r, max_mode)
-        purities.append(spec.purity(order_l))
-        zs.append(z)
-    return HealingCurve(z_values=zs, similarity=sims, mode_purity=purities)
+    curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
+    for z, clear, obstructed in advance_beams(source, mask, z_samples,
+                                              max_step, edge_margin):
+        if mask is None or z != mask.z_position:
+            curve.add(z, clear, obstructed, order_l, ring_radius, max_mode)
+    return curve

@@ -9,10 +9,9 @@ from pathlib import Path
 
 from .errors import OamLinkError
 from .field import write_field, write_field_csv
-from .link_design import LinkBudget, compare_with_reference, derive_link, max_beam_radius
-from .scenario import (default_config, run_experiment, run_scenario,
-                       scenario_from_config, validate_config, wavelength_from,
-                       write_healing_csv)
+from .scenario import (default_config, link_plan, run_experiment,
+                       run_scenario, scenario_from_config, validate_config,
+                       write_healing_csv, write_report)
 
 
 def _load_config(path):
@@ -38,35 +37,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_plan(args):
     cfg = _apply_overrides(_load_config(args.config), args)
-    link = cfg["link"]
-    budget = LinkBudget(bandwidth_B=link["bandwidth_hz"],
-                        num_modes_K=link["num_modes"],
-                        link_distance_L=link["distance_m"],
-                        rx_spacing_d=link["rx_spacing_m"],
-                        digital_if_F=link["digital_if_hz"],
-                        rf_frequency=link["rf_hz"])
-    derived = derive_link(budget, link["beam_radius_m"],
-                          wavelength=link["wavelength_override_m"])
-    plan = {
-        "max_beam_radius_m": max_beam_radius(budget),
-        "beam_radius_m": derived.beam_radius_R,
-        "wavelength_m": derived.wavelength_lambda,
-        "tx_radius_m": derived.tx_radius_r,
-        "far_field_m": derived.far_field_L_far,
-        "num_elements": derived.num_elements_N,
-        "reference_comparison": compare_with_reference(
-            derive_link(budget, 0.87, wavelength=0.011)),
-    }
-    out = _out_dir(args)
-    _write_json(plan, out / "plan.json")
+    plan = link_plan(cfg)
+    write_report(plan, _out_dir(args) / "plan.json")
     print(json.dumps(plan, indent=2, sort_keys=True))
 
 
@@ -86,7 +60,7 @@ def cmd_simulate(args):
         "combined_evm_pct": result.metrics.combined_evm_pct,
         "channel_phases_deg": result.metrics.channel_phases_deg,
     }
-    _write_json(summary, out / "scenario.json")
+    write_report(summary, out / "scenario.json")
     if args.dump_fields:
         for name, f in result.fields.items():
             write_field(f, out / f"{name}.oamf")

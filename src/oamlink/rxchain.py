@@ -18,6 +18,7 @@ from .errors import ChannelError, GeometryError
 SYMBOL_RATE = 30.72e6
 SAMPLE_RATE = 122.88e6
 OVERSAMPLE = 4          # SAMPLE_RATE / SYMBOL_RATE, rectangular hold
+MIN_PILOT_SYMBOLS = 1024
 
 _ALPHABET = (1.0 + 1.0j, -1.0 - 1.0j)
 
@@ -71,8 +72,8 @@ class MetricsReport:
 
 def generate_pilot(seed: int, num_symbols: int) -> PilotSignal:
     """Pseudo-random symbols from {(1+j), (-1-j)} at the fixed symbol rate."""
-    if num_symbols < 1024:
-        raise GeometryError("pilot needs at least 1024 symbols")
+    if num_symbols < MIN_PILOT_SYMBOLS:
+        raise GeometryError(f"pilot needs at least {MIN_PILOT_SYMBOLS} symbols")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=num_symbols)
     symbols = np.where(bits == 0, _ALPHABET[0], _ALPHABET[1])

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -14,17 +15,16 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import HealingCurve, azimuthal_spectrum, field_similarity
+from .analysis import HealingCurve, advance_beams
 from .beams import SourceRing, matched_radius, synthesize_source_field
 from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
-from .field import write_field
+from .field import ScalarField, write_field
 from .link_design import (LinkBudget, compare_with_reference, derive_link,
                           max_beam_radius)
-from .propagation import (ObstructionMask, angular_bandlimit, apply_mask,
-                          propagate_to, sample_points)
-from .rxchain import (ChannelSnapshot, compute_metrics, generate_pilot,
-                      receive)
+from .propagation import ObstructionMask, angular_bandlimit, sample_points
+from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
+                      generate_pilot, receive)
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
 
 _REFERENCE_RING = (2, 0.149)   # order and radius every unmatched mode scales from
@@ -147,9 +147,22 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("rx.num_noise_seeds", "must be at least 1")
     if math.isnan(merged["rx"]["snr_db"]):
         raise ConfigError("rx.snr_db", "must not be NaN")
+    if merged["rx"]["pilot_symbols"] < MIN_PILOT_SYMBOLS:
+        raise ConfigError("rx.pilot_symbols",
+                          f"must be at least {MIN_PILOT_SYMBOLS}")
+    distance = merged["link"]["distance_m"]
     if merged["obstruction"]["enabled"] and \
-            merged["obstruction"]["z_m"] >= merged["link"]["distance_m"]:
+            merged["obstruction"]["z_m"] >= distance:
         raise ConfigError("obstruction.z_m", "must lie before the receiver plane")
+    z_min = merged["obstruction"]["z_m"] if merged["obstruction"]["enabled"] \
+        else 0.0
+    planes = merged["healing"]["z_samples_m"]
+    if not planes or any(isinstance(z, bool) or not isinstance(z, (int, float))
+                         or not z_min < z <= distance for z in planes) \
+            or any(b <= a for a, b in zip(planes, planes[1:])):
+        raise ConfigError("healing.z_samples_m",
+                          f"must be a non-empty, strictly increasing list of "
+                          f"planes in ({z_min:g}, {distance:g}] m, got {planes!r}")
     return merged
 
 
@@ -246,48 +259,45 @@ def scenario_from_config(cfg: dict, order_l: int, obstructed: bool,
         h_scale=h_scale, distance=cfg["link"]["distance_m"])
 
 
-def _stage(name: str, err: OamLinkError):
-    err.args = (f"[{name}] {err.args[0] if err.args else ''}",)
-    return err
-
-
-def propagate_scenario(s: Scenario, keep_fields: bool = False):
-    """Field pipeline only: synthesize, band-limit, mask, propagate, sample.
-
-    Returns (raw channel gains, dict of retained fields).
-    """
-    fields = {}
+@contextmanager
+def _stage(name: str):
+    """Prefix a simulator error raised inside with the stage ``[name]`` and
+    record it as ``err.stage``; an inner stage's label is kept."""
     try:
+        yield
+    except OamLinkError as err:
+        if getattr(err, "stage", None) is None:
+            err.stage = name
+            err.args = (f"[{name}] {err.args[0] if err.args else ''}",)
+        raise
+
+
+def _source_field(s: Scenario) -> ScalarField:
+    """The scenario's ring deposited on the grid, band-limited to its cone."""
+    with _stage("synthesis"):
         src = synthesize_source_field(s.ring, s.grid_side, s.grid_extent,
                                       s.wavelength)
-        src = angular_bandlimit(src, s.theta_max_rad)
-    except OamLinkError as e:
-        raise _stage("synthesis", e)
-    if keep_fields:
-        fields["source"] = src
-    f = src
-    try:
-        if s.obstruction is not None:
-            f = propagate_to(f, s.obstruction.z_position, s.max_step,
-                             s.edge_margin)
-            f = apply_mask(f, s.obstruction)
-            if keep_fields:
-                fields["obstruction_plane"] = f
-        f = propagate_to(f, s.distance, s.max_step, s.edge_margin)
-    except OamLinkError as e:
-        raise _stage("propagation", e)
-    if keep_fields:
-        fields["receiver_plane"] = f
-    try:
-        h_raw = sample_points(f, s.rx_positions)
-    except OamLinkError as e:
-        raise _stage("sampling", e)
-    return h_raw, fields
+        return angular_bandlimit(src, s.theta_max_rad)
 
 
 def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
-    """End-to-end run: field pipeline then the receive chain."""
-    h_raw, fields = propagate_scenario(s, keep_fields)
+    """End-to-end run: the field from the ring to the receiver plane, then
+    the receive chain.  ``keep_fields`` keeps the source, mask-plane and
+    receiver-plane fields in ``fields``."""
+    src = _source_field(s)
+    fields = {"source": src} if keep_fields else {}
+    walk = advance_beams(src, s.obstruction, [s.distance], s.max_step,
+                         s.edge_margin, keep_clear=False)
+    del src   # the walk drops the source after its first hop
+    with _stage("propagation"):
+        for z, clear, obstructed in walk:
+            beam = clear if obstructed is None else obstructed
+            if keep_fields:
+                name = "receiver_plane" if z == s.distance \
+                    else "obstruction_plane"
+                fields[name] = beam
+    with _stage("sampling"):
+        h_raw = sample_points(beam, s.rx_positions)
     label = "obstructed" if s.obstruction is not None else "clear"
     # h_scale=None: normalize mean |h| to 1 (standalone runs without a clear
     # reference to equalize against).
@@ -295,16 +305,38 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     if scale is None:
         mean_mag = float(np.mean(np.abs(h_raw)))
         scale = 1.0 / mean_mag if mean_mag > 0 else 1.0
-    try:
+    with _stage("rx_chain"):
         chan = ChannelSnapshot(h=h_raw * scale, scenario_label=label,
                                mode=s.order_l)
         pilot = generate_pilot(s.pilot_seed, s.pilot_symbols)
         streams, est, report = receive(chan, pilot, s.snr_db, s.noise_seed,
                                        guard_samples=s.guard_samples)
-    except OamLinkError as e:
-        raise _stage("rx_chain", e)
     return ScenarioResult(scenario=s, h_raw=h_raw, channel=chan,
                           estimated=est, metrics=report, fields=fields)
+
+
+def link_plan(cfg: dict) -> dict:
+    """Derived link geometry of a validated config, as ``oamlink plan``
+    writes it and ``report.json`` carries it."""
+    link = cfg["link"]
+    budget = LinkBudget(bandwidth_B=link["bandwidth_hz"],
+                        num_modes_K=link["num_modes"],
+                        link_distance_L=link["distance_m"],
+                        rx_spacing_d=link["rx_spacing_m"],
+                        digital_if_F=link["digital_if_hz"],
+                        rf_frequency=link["rf_hz"])
+    derived = derive_link(budget, link["beam_radius_m"],
+                          wavelength=link["wavelength_override_m"])
+    return {
+        "max_beam_radius_m": max_beam_radius(budget),
+        "beam_radius_m": derived.beam_radius_R,
+        "wavelength_m": derived.wavelength_lambda,
+        "tx_radius_m": derived.tx_radius_r,
+        "far_field_m": derived.far_field_L_far,
+        "num_elements": derived.num_elements_N,
+        "reference_comparison": compare_with_reference(
+            derive_link(budget, 0.87, wavelength=0.011)),
+    }
 
 
 def _complex_list(values) -> list:
@@ -327,99 +359,28 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
     if z_samples[-1] != L:
         z_samples = z_samples + [L]
     pilot = generate_pilot(cfg["rx"]["pilot_seed"], cfg["rx"]["pilot_symbols"])
-
-    budget = LinkBudget(
-        bandwidth_B=cfg["link"]["bandwidth_hz"],
-        num_modes_K=cfg["link"]["num_modes"],
-        link_distance_L=L,
-        rx_spacing_d=cfg["link"]["rx_spacing_m"],
-        digital_if_F=cfg["link"]["digital_if_hz"],
-        rf_frequency=cfg["link"]["rf_hz"])
-    derived = derive_link(budget, cfg["link"]["beam_radius_m"],
-                          wavelength=cfg["link"]["wavelength_override_m"])
+    with _stage("link_plan"):
+        plan = link_plan(cfg)
 
     report = {
         "tool": {"name": "oamlink", "version": __version__,
                  "numpy": np.__version__, "scipy": scipy.__version__},
         "config": cfg,
-        "link_plan": {
-            "max_beam_radius_m": max_beam_radius(budget),
-            "beam_radius_m": derived.beam_radius_R,
-            "wavelength_m": derived.wavelength_lambda,
-            "tx_radius_m": derived.tx_radius_r,
-            "far_field_m": derived.far_field_L_far,
-            "num_elements": derived.num_elements_N,
-            "reference_comparison": compare_with_reference(
-                derive_link(budget, 0.87, wavelength=0.011)),
-        },
+        "link_plan": plan,
         "modes": {},
         "prediction": {},
     }
 
     modes = [int(l) for l in cfg["modes"]]
-    per_mode = {}
+    dump_dir = Path(out_dir) if dump_fields and out_dir is not None else None
+    channels = []
     for l in modes:
-        per_mode[l] = _run_mode(cfg, l, mask, z_samples, k, dump_fields,
-                                out_dir)
-
-    # Equalize clear-LOS mean |h| across modes to a common unit reference.
-    for l in modes:
-        mean_mag = float(np.mean(np.abs(per_mode[l]["h_clear_raw"])))
-        if mean_mag <= 0:
-            raise ChannelError(f"mode {l}: clear channel has zero magnitude")
-        per_mode[l]["h_scale"] = 1.0 / mean_mag
-
-    snr_db = cfg["rx"]["snr_db"]
-    n_seeds = cfg["rx"]["num_noise_seeds"]
-    base_seed = cfg["rx"]["noise_seed"]
-    guard = cfg["rx"]["guard_samples"]
-    correlations = []
-    for l in modes:
-        data = per_mode[l]
-        scale = data["h_scale"]
-        h_clear = data["h_clear_raw"] * scale
-        h_obst = data["h_obst_raw"] * scale if data["h_obst_raw"] is not None \
-            else h_clear
-        power_clear = float(np.mean(np.abs(h_clear) ** 2))
-        power_obst = float(np.mean(np.abs(h_obst) ** 2))
-        d_power_db = 10.0 * np.log10(power_obst / power_clear)
-
-        seed_deltas = []
-        for i in range(n_seeds):
-            seed = base_seed + i
-            _, _, rep_clear = receive(
-                ChannelSnapshot(h_clear, "clear", l), pilot, snr_db, seed,
-                guard_samples=guard)
-            _, _, rep_obst = receive(
-                ChannelSnapshot(h_obst, "obstructed", l), pilot, snr_db, seed,
-                guard_samples=guard)
-            deltas = compute_metrics(rep_clear, rep_obst)
-            deltas["noise_seed"] = seed
-            seed_deltas.append(deltas)
-            if i == 0:
-                correlations.append((l, "clear", ChannelSnapshot(h_clear, "clear", l)))
-                correlations.append((l, "obstructed",
-                                     ChannelSnapshot(h_obst, "obstructed", l)))
-
-        curve = data["curve"]
-        report["modes"][str(l)] = {
-            "ring_radius_m": data["ring_radius"],
-            "h_clear": _complex_list(h_clear),
-            "h_obstructed": _complex_list(h_obst),
-            "d_power_db": d_power_db,
-            "noise_runs": seed_deltas,
-            "d_snr_db_mean": float(np.mean([d["d_snr_db"] for d in seed_deltas])),
-            "d_evm_pct_mean": float(np.mean([d["d_evm_pct"] for d in seed_deltas])),
-            "healing_curve": {
-                "z_m": curve.z_values,
-                "similarity": curve.similarity,
-                "mode_purity": curve.mode_purity,
-            },
-            "final_similarity": curve.similarity[-1],
-        }
+        report["modes"][str(l)], pair = _run_order(cfg, l, mask, z_samples,
+                                                   pilot, dump_dir)
+        channels += pair
 
     # Model-side prediction, kept separate from the simulated outcome.
-    r_at_l = {l: beam_radius_at(L, l, per_mode[l]["ring_radius"], k)
+    r_at_l = {l: beam_radius_at(L, l, ring_radius_for(cfg, l), k)
               for l in modes}
     report["prediction"] = {
         "tangential_wavevector_rad_per_m": {
@@ -437,65 +398,82 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         write_report(report, out / "report.json")
         write_healing_csv(report, out / "healing_curve.csv")
-        write_correlations_csv(correlations, pilot, snr_db, base_seed, guard,
+        rx = cfg["rx"]
+        write_correlations_csv(channels, pilot, rx["snr_db"],
+                               rx["noise_seed"], rx["guard_samples"],
                                out / "correlations.csv")
     return report
 
 
-def _run_mode(cfg: dict, l: int, mask, z_samples, k, dump_fields, out_dir):
-    """Clear and obstructed field pipelines for one order, sharing the
-    propagation to the obstruction plane; records the healing curve."""
-    s_clear = scenario_from_config(cfg, l, obstructed=False)
-    src = synthesize_source_field(s_clear.ring, s_clear.grid_side,
-                                  s_clear.grid_extent, s_clear.wavelength)
-    src = angular_bandlimit(src, s_clear.theta_max_rad)
+def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
+    """One order of the matrix: the clear and obstructed beams through the
+    analysis planes, sharing the hop to the mask, with the healing curve on
+    the way; then their channels at the last plane, equalized, through the
+    receive chain.  The last-plane fields go to ``dump_dir`` unless it is
+    None.  Returns the order's report entry and the (clear, obstructed)
+    channel snapshots."""
+    with _stage("synthesis"):
+        s = scenario_from_config(cfg, l, obstructed=False)
+    curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
+    walk = advance_beams(_source_field(s), mask, z_samples, s.max_step,
+                         s.edge_margin)
+    with _stage("propagation"):
+        for z, clear, obst in walk:
+            if mask is None or z != mask.z_position:
+                with _stage("sampling"):
+                    curve.add(z, clear, obst, l, s.ring.radius_r,
+                              cfg["healing"]["max_mode"])
+    with _stage("sampling"):
+        h_clear = sample_points(clear, s.rx_positions)
+        h_obst = sample_points(obst, s.rx_positions) if obst is not None \
+            else h_clear
 
-    max_step = s_clear.max_step
-    margin = s_clear.edge_margin
-    if mask is not None:
-        at_mask = propagate_to(src, mask.z_position, max_step, margin)
-        clear = at_mask
-        obst = apply_mask(at_mask, mask)
-    else:
-        clear = src
-        obst = None
-
-    sims, purities = [], []
-    max_mode = cfg["healing"]["max_mode"]
-    for z in z_samples:
-        clear = propagate_to(clear, z, max_step, margin)
+    if dump_dir is not None:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        write_field(clear, dump_dir / f"field_l{l}_clear_z{clear.z_position:g}.oamf")
         if obst is not None:
-            obst = propagate_to(obst, z, max_step, margin)
-        beam_r = beam_radius_at(z, l, s_clear.ring.radius_r, k)
-        beam_r = min(beam_r, (clear.extent / 2.0 - clear.spacing) / 1.5)
-        if obst is not None:
-            sims.append(field_similarity(obst, clear,
-                                         (0.5 * beam_r, 1.5 * beam_r)))
-            purities.append(azimuthal_spectrum(obst, beam_r,
-                                               max_mode).purity(l))
-        else:
-            sims.append(1.0)
-            purities.append(azimuthal_spectrum(clear, beam_r,
-                                               max_mode).purity(l))
+            write_field(obst, dump_dir / f"field_l{l}_obstructed_z{obst.z_position:g}.oamf")
 
-    h_clear_raw = sample_points(clear, s_clear.rx_positions)
-    h_obst_raw = sample_points(obst, s_clear.rx_positions) \
-        if obst is not None else None
+    rx = cfg["rx"]
+    with _stage("rx_chain"):
+        # Equalize clear-LOS mean |h| across modes to a common unit reference.
+        mean_mag = float(np.mean(np.abs(h_clear)))
+        if mean_mag <= 0:
+            raise ChannelError(f"mode {l}: clear channel has zero magnitude")
+        scale = 1.0 / mean_mag
+        h_clear = h_clear * scale
+        h_obst = h_obst * scale
+        chan_clear = ChannelSnapshot(h_clear, "clear", l)
+        chan_obst = ChannelSnapshot(h_obst, "obstructed", l)
+        seed_deltas = []
+        for i in range(rx["num_noise_seeds"]):
+            seed = rx["noise_seed"] + i
+            _, _, rep_clear = receive(chan_clear, pilot, rx["snr_db"], seed,
+                                      guard_samples=rx["guard_samples"])
+            _, _, rep_obst = receive(chan_obst, pilot, rx["snr_db"], seed,
+                                     guard_samples=rx["guard_samples"])
+            deltas = compute_metrics(rep_clear, rep_obst)
+            deltas["noise_seed"] = seed
+            seed_deltas.append(deltas)
 
-    if dump_fields and out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_field(clear, out / f"field_l{l}_clear_z{clear.z_position:g}.oamf")
-        if obst is not None:
-            write_field(obst, out / f"field_l{l}_obstructed_z{obst.z_position:g}.oamf")
-
-    return {
-        "ring_radius": s_clear.ring.radius_r,
-        "h_clear_raw": h_clear_raw,
-        "h_obst_raw": h_obst_raw,
-        "curve": HealingCurve(z_values=list(z_samples), similarity=sims,
-                              mode_purity=purities),
+    power_clear = float(np.mean(np.abs(h_clear) ** 2))
+    power_obst = float(np.mean(np.abs(h_obst) ** 2))
+    entry = {
+        "ring_radius_m": s.ring.radius_r,
+        "h_clear": _complex_list(h_clear),
+        "h_obstructed": _complex_list(h_obst),
+        "d_power_db": 10.0 * np.log10(power_obst / power_clear),
+        "noise_runs": seed_deltas,
+        "d_snr_db_mean": float(np.mean([d["d_snr_db"] for d in seed_deltas])),
+        "d_evm_pct_mean": float(np.mean([d["d_evm_pct"] for d in seed_deltas])),
+        "healing_curve": {
+            "z_m": curve.z_values,
+            "similarity": curve.similarity,
+            "mode_purity": curve.mode_purity,
+        },
+        "final_similarity": curve.similarity[-1],
     }
+    return entry, (chan_clear, chan_obst)
 
 
 def write_report(report: dict, path):
@@ -515,15 +493,16 @@ def write_healing_csv(report: dict, path):
                 writer.writerow([l, z, s, p])
 
 
-def write_correlations_csv(entries, pilot, snr_db, noise_seed, guard, path):
+def write_correlations_csv(channels, pilot, snr_db, noise_seed, guard, path):
     from .rxchain import apply_channel, correlate_pilot
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "scenario", "antenna", "lag", "magnitude"])
-        for l, label, chan in entries:
+        for chan in channels:
             streams = apply_channel(pilot, chan, snr_db, noise_seed,
                                     guard_samples=guard)
             for i, s in enumerate(streams):
                 trace = correlate_pilot(s, pilot)
                 for lag, mag in zip(trace.lags, trace.magnitude):
-                    writer.writerow([l, label, i + 1, int(lag), float(mag)])
+                    writer.writerow([chan.mode, chan.scenario_label, i + 1,
+                                     int(lag), float(mag)])

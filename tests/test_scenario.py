@@ -85,6 +85,40 @@ def test_snr_must_not_be_nan():
     assert validate_config({"rx": {"snr_db": float("inf")}})
 
 
+@pytest.mark.parametrize("planes", [
+    [], [50.0, 11.0], [5.0], [10.0], [60.0], [11.0, 11.0], [11.0, "50"],
+    [True], [11.0, float("nan"), 50.0]])
+def test_z_samples_must_be_increasing_planes_past_the_mask(planes, tmp_path,
+                                                          capsys):
+    assert _config_error_field({"healing": {"z_samples_m": planes}}) \
+        == "healing.z_samples_m"
+    # the check runs before any field work, through the CLI too
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"healing": {"z_samples_m": planes}}))
+    assert main(["experiment", "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == 1
+    assert "healing.z_samples_m" in capsys.readouterr().err
+
+
+def test_z_samples_bound_follows_the_mask():
+    # without the mask the planes may start anywhere past the source
+    assert validate_config({"obstruction": {"enabled": False},
+                            "healing": {"z_samples_m": [5.0, 50]}})
+    assert _config_error_field({"obstruction": {"enabled": False},
+                                "healing": {"z_samples_m": [0.0]}}) \
+        == "healing.z_samples_m"
+    assert _config_error_field({"obstruction": {"z_m": 20.0},
+                                "healing": {"z_samples_m": [15.0, 50.0]}}) \
+        == "healing.z_samples_m"
+
+
+@pytest.mark.parametrize("symbols", [1023, 64, 0, -2048])
+def test_pilot_symbols_must_reach_1024(symbols):
+    assert _config_error_field({"rx": {"pilot_symbols": symbols}}) \
+        == "rx.pilot_symbols"
+    assert validate_config({"rx": {"pilot_symbols": 1024}})
+
+
 def test_ring_radius_lookup_and_matching():
     cfg = validate_config({})
     assert ring_radius_for(cfg, 2) == 0.149
@@ -243,3 +277,52 @@ def test_stage_labels_are_prefixed():
     with pytest.raises(OamLinkError) as err:
         run_scenario(s)
     assert str(err.value).startswith("[synthesis]")
+
+
+def test_experiment_errors_carry_stage_labels():
+    cfg = _small_cfg(ring_radii_m={"2": 10.0})
+    with pytest.raises(OamLinkError) as err:
+        run_experiment(cfg)
+    assert str(err.value).startswith("[synthesis]")
+    assert err.value.stage == "synthesis"
+    # a mask over the whole grid leaves nothing to analyse at the planes
+    cfg = _small_cfg(obstruction={"width_m": 10.0, "height_m": 10.0,
+                                  "center_y_m": 0.0})
+    with pytest.raises(OamLinkError) as err:
+        run_experiment(cfg)
+    assert str(err.value).startswith("[sampling] ")
+
+
+def test_propagation_steps_per_run(monkeypatch):
+    # The clear and obstructed beams share the hop to the mask plane, then
+    # each takes its own hop to every analysis plane; a single scenario
+    # walks straight to the receiver in max_step hops.
+    from oamlink import propagation
+    steps = []
+    real = propagation.propagate
+
+    def counting(field, dz, *args, **kwargs):
+        steps.append(dz)
+        return real(field, dz, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "propagate", counting)
+    cfg = validate_config({"grid": {"side": 64}})
+    run_experiment(cfg)
+    per_order = [10.0] + [dz for dz in (1.0, 4.0) + (5.0,) * 7
+                          for _beam in ("clear", "obstructed")]
+    assert len(per_order) == 19
+    assert steps == per_order * len(cfg["modes"])
+    for obstructed in (False, True):
+        steps.clear()
+        run_scenario(scenario_from_config(cfg, 2, obstructed))
+        assert steps == [10.0] * 5
+    # With the mask off the 10 m grid of steps, only the obstructed beam
+    # stops at it; the clear one still walks 50 m in five 10 m steps.
+    cfg = validate_config({"grid": {"side": 64}, "obstruction": {"z_m": 15.0},
+                           "healing": {"z_samples_m": [50.0]}})
+    steps.clear()
+    run_scenario(scenario_from_config(cfg, 2, obstructed=False))
+    assert steps == [10.0] * 5
+    steps.clear()
+    run_scenario(scenario_from_config(cfg, 2, obstructed=True))
+    assert steps == [7.5, 7.5] + [8.75] * 4
