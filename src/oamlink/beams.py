@@ -22,12 +22,6 @@ from .bessel import MAX_ORDER, bessel_j_signed, first_max_abscissa
 from .errors import GeometryError, NyquistError
 from .field import ScalarField
 
-# Ring radii used on the experimental link (order -> radius in metres).  The
-# 0.218 m value was the as-built choice for order 4; exact Bessel matching
-# to the order-2 ring gives 0.259 m instead.  Both are supported.
-REFERENCE_RING_RADII = {2: 0.149, 4: 0.218}
-
-
 def check_order(l: int) -> int:
     l = int(l)
     if abs(l) > MAX_ORDER:

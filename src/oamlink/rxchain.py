@@ -189,7 +189,8 @@ def receive(chan: ChannelSnapshot, pilot: PilotSignal, snr_db: float,
     """Full receive pass: channel + noise, correlate, align, estimate,
     combine.
 
-    Returns (streams, estimated ChannelSnapshot, MetricsReport).
+    Returns (per-antenna CorrelationTraces of the received streams,
+    estimated ChannelSnapshot, MetricsReport).
     """
     streams = apply_channel(pilot, chan, snr_db, noise_seed, guard_samples)
     traces = [correlate_pilot(s, pilot) for s in streams]
@@ -224,7 +225,7 @@ def receive(chan: ChannelSnapshot, pilot: PilotSignal, snr_db: float,
                             wrap_degrees(np.degrees(np.angle(est.h)))],
         correlation_peaks=[t.peak_height for t in traces],
     )
-    return streams, est, report
+    return traces, est, report
 
 
 def compute_metrics(clear: MetricsReport, obstructed: MetricsReport) -> dict:

@@ -44,6 +44,8 @@ def default_config() -> dict:
             "wavelength_override_m": None,
         },
         "modes": [2, 4],
+        # Ring radii of the experimental link.  0.218 m is the as-built ring
+        # for order 4; exact Bessel matching to the order-2 ring gives 0.259 m.
         "ring_radii_m": {"2": 0.149, "4": 0.218},
         "ring_elements": 238,
         "grid": {
@@ -143,6 +145,8 @@ def validate_config(cfg: dict) -> dict:
     side = merged["grid"]["side"]
     if side < 64 or side & (side - 1):
         raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
+    if not merged["grid"]["max_step_m"] > 0:
+        raise ConfigError("grid.max_step_m", "must be positive")
     if merged["rx"]["num_noise_seeds"] < 1:
         raise ConfigError("rx.num_noise_seeds", "must be at least 1")
     if math.isnan(merged["rx"]["snr_db"]):
@@ -152,8 +156,9 @@ def validate_config(cfg: dict) -> dict:
                           f"must be at least {MIN_PILOT_SYMBOLS}")
     distance = merged["link"]["distance_m"]
     if merged["obstruction"]["enabled"] and \
-            merged["obstruction"]["z_m"] >= distance:
-        raise ConfigError("obstruction.z_m", "must lie before the receiver plane")
+            not 0 < merged["obstruction"]["z_m"] < distance:
+        raise ConfigError("obstruction.z_m", "must lie between the source and "
+                                             "the receiver plane")
     z_min = merged["obstruction"]["z_m"] if merged["obstruction"]["enabled"] \
         else 0.0
     planes = merged["healing"]["z_samples_m"]
@@ -208,25 +213,14 @@ def rx_positions_from(cfg: dict) -> np.ndarray:
 
 @dataclass
 class Scenario:
-    """One clear or obstructed run of a single OAM order."""
+    """One clear or obstructed run of a single OAM order: the validated
+    config, the order, the mask (None for the clear run) and the channel
+    scale (None normalizes the mean |h| to 1)."""
 
+    cfg: dict
     order_l: int
-    ring: SourceRing
-    wavelength: float
-    grid_side: int
-    grid_extent: float
-    theta_max_rad: float
-    max_step: float
-    edge_margin: float
     obstruction: ObstructionMask | None
-    rx_positions: np.ndarray
-    snr_db: float
-    pilot_seed: int
-    pilot_symbols: int
-    noise_seed: int
-    guard_samples: int = 0
     h_scale: float | None = 1.0
-    distance: float = 50.0
 
 
 @dataclass
@@ -234,29 +228,15 @@ class ScenarioResult:
     scenario: Scenario
     h_raw: np.ndarray
     channel: ChannelSnapshot
-    estimated: ChannelSnapshot
     metrics: object
     fields: dict = dc_field(default_factory=dict)
 
 
 def scenario_from_config(cfg: dict, order_l: int, obstructed: bool,
                          h_scale: float | None = 1.0) -> Scenario:
-    lam = wavelength_from(cfg)
-    ring = SourceRing(radius_r=ring_radius_for(cfg, order_l),
-                      num_elements_N=cfg["ring_elements"], order_l=order_l)
-    return Scenario(
-        order_l=order_l, ring=ring, wavelength=lam,
-        grid_side=cfg["grid"]["side"], grid_extent=cfg["grid"]["extent_m"],
-        theta_max_rad=float(np.radians(cfg["grid"]["theta_max_deg"])),
-        max_step=cfg["grid"]["max_step_m"],
-        edge_margin=cfg["grid"]["edge_margin"],
-        obstruction=obstruction_from(cfg) if obstructed else None,
-        rx_positions=rx_positions_from(cfg),
-        snr_db=cfg["rx"]["snr_db"], pilot_seed=cfg["rx"]["pilot_seed"],
-        pilot_symbols=cfg["rx"]["pilot_symbols"],
-        noise_seed=cfg["rx"]["noise_seed"],
-        guard_samples=cfg["rx"]["guard_samples"],
-        h_scale=h_scale, distance=cfg["link"]["distance_m"])
+    return Scenario(cfg=cfg, order_l=order_l,
+                    obstruction=obstruction_from(cfg) if obstructed else None,
+                    h_scale=h_scale)
 
 
 @contextmanager
@@ -272,47 +252,56 @@ def _stage(name: str):
         raise
 
 
-def _source_field(s: Scenario) -> ScalarField:
-    """The scenario's ring deposited on the grid, band-limited to its cone."""
+def _source_field(cfg: dict, order_l: int) -> ScalarField:
+    """The order's ring deposited on the grid, band-limited to its cone."""
     with _stage("synthesis"):
-        src = synthesize_source_field(s.ring, s.grid_side, s.grid_extent,
-                                      s.wavelength)
-        return angular_bandlimit(src, s.theta_max_rad)
+        ring = SourceRing(radius_r=ring_radius_for(cfg, order_l),
+                          num_elements_N=cfg["ring_elements"], order_l=order_l)
+        grid = cfg["grid"]
+        src = synthesize_source_field(ring, grid["side"], grid["extent_m"],
+                                      wavelength_from(cfg))
+        return angular_bandlimit(src, float(np.radians(grid["theta_max_deg"])))
+
+
+def _unit_scale(h: np.ndarray, order_l: int) -> float:
+    """The factor that brings the mean |h| of a channel to 1."""
+    mean_mag = float(np.mean(np.abs(h)))
+    if not mean_mag > 0:
+        raise ChannelError(f"mode {order_l}: channel has zero magnitude")
+    return 1.0 / mean_mag
 
 
 def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     """End-to-end run: the field from the ring to the receiver plane, then
     the receive chain.  ``keep_fields`` keeps the source, mask-plane and
     receiver-plane fields in ``fields``."""
-    src = _source_field(s)
+    cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
+    distance = cfg["link"]["distance_m"]
+    src = _source_field(cfg, s.order_l)
     fields = {"source": src} if keep_fields else {}
-    walk = advance_beams(src, s.obstruction, [s.distance], s.max_step,
-                         s.edge_margin, keep_clear=False)
+    walk = advance_beams(src, s.obstruction, [distance], grid["max_step_m"],
+                         grid["edge_margin"], keep_clear=False)
     del src   # the walk drops the source after its first hop
     with _stage("propagation"):
         for z, clear, obstructed in walk:
             beam = clear if obstructed is None else obstructed
             if keep_fields:
-                name = "receiver_plane" if z == s.distance \
+                name = "receiver_plane" if z == distance \
                     else "obstruction_plane"
                 fields[name] = beam
     with _stage("sampling"):
-        h_raw = sample_points(beam, s.rx_positions)
+        h_raw = sample_points(beam, rx_positions_from(cfg))
     label = "obstructed" if s.obstruction is not None else "clear"
-    # h_scale=None: normalize mean |h| to 1 (standalone runs without a clear
-    # reference to equalize against).
-    scale = s.h_scale
-    if scale is None:
-        mean_mag = float(np.mean(np.abs(h_raw)))
-        scale = 1.0 / mean_mag if mean_mag > 0 else 1.0
     with _stage("rx_chain"):
+        scale = _unit_scale(h_raw, s.order_l) if s.h_scale is None \
+            else s.h_scale
         chan = ChannelSnapshot(h=h_raw * scale, scenario_label=label,
                                mode=s.order_l)
-        pilot = generate_pilot(s.pilot_seed, s.pilot_symbols)
-        streams, est, report = receive(chan, pilot, s.snr_db, s.noise_seed,
-                                       guard_samples=s.guard_samples)
+        pilot = generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
+        _, _, report = receive(chan, pilot, rx["snr_db"], rx["noise_seed"],
+                               guard_samples=rx["guard_samples"])
     return ScenarioResult(scenario=s, h_raw=h_raw, channel=chan,
-                          estimated=est, metrics=report, fields=fields)
+                          metrics=report, fields=fields)
 
 
 def link_plan(cfg: dict) -> dict:
@@ -373,11 +362,11 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
 
     modes = [int(l) for l in cfg["modes"]]
     dump_dir = Path(out_dir) if dump_fields and out_dir is not None else None
-    channels = []
+    traces = []
     for l in modes:
         report["modes"][str(l)], pair = _run_order(cfg, l, mask, z_samples,
                                                    pilot, dump_dir)
-        channels += pair
+        traces += pair
 
     # Model-side prediction, kept separate from the simulated outcome.
     r_at_l = {l: beam_radius_at(L, l, ring_radius_for(cfg, l), k)
@@ -398,10 +387,7 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
         out.mkdir(parents=True, exist_ok=True)
         write_report(report, out / "report.json")
         write_healing_csv(report, out / "healing_curve.csv")
-        rx = cfg["rx"]
-        write_correlations_csv(channels, pilot, rx["snr_db"],
-                               rx["noise_seed"], rx["guard_samples"],
-                               out / "correlations.csv")
+        write_correlations_csv(traces, out / "correlations.csv")
     return report
 
 
@@ -410,22 +396,24 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     analysis planes, sharing the hop to the mask, with the healing curve on
     the way; then their channels at the last plane, equalized, through the
     receive chain.  The last-plane fields go to ``dump_dir`` unless it is
-    None.  Returns the order's report entry and the (clear, obstructed)
-    channel snapshots."""
-    with _stage("synthesis"):
-        s = scenario_from_config(cfg, l, obstructed=False)
+    None.  Returns the order's report entry and the (channel, correlation
+    traces) pairs of the clear and obstructed runs at the first noise
+    seed."""
+    grid, rx = cfg["grid"], cfg["rx"]
+    walk = advance_beams(_source_field(cfg, l), mask, z_samples,
+                         grid["max_step_m"], grid["edge_margin"])
+    radius = ring_radius_for(cfg, l)
     curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
-    walk = advance_beams(_source_field(s), mask, z_samples, s.max_step,
-                         s.edge_margin)
     with _stage("propagation"):
         for z, clear, obst in walk:
             if mask is None or z != mask.z_position:
                 with _stage("sampling"):
-                    curve.add(z, clear, obst, l, s.ring.radius_r,
+                    curve.add(z, clear, obst, l, radius,
                               cfg["healing"]["max_mode"])
     with _stage("sampling"):
-        h_clear = sample_points(clear, s.rx_positions)
-        h_obst = sample_points(obst, s.rx_positions) if obst is not None \
+        positions = rx_positions_from(cfg)
+        h_clear = sample_points(clear, positions)
+        h_obst = sample_points(obst, positions) if obst is not None \
             else h_clear
 
     if dump_dir is not None:
@@ -434,13 +422,9 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
         if obst is not None:
             write_field(obst, dump_dir / f"field_l{l}_obstructed_z{obst.z_position:g}.oamf")
 
-    rx = cfg["rx"]
     with _stage("rx_chain"):
         # Equalize clear-LOS mean |h| across modes to a common unit reference.
-        mean_mag = float(np.mean(np.abs(h_clear)))
-        if mean_mag <= 0:
-            raise ChannelError(f"mode {l}: clear channel has zero magnitude")
-        scale = 1.0 / mean_mag
+        scale = _unit_scale(h_clear, l)
         h_clear = h_clear * scale
         h_obst = h_obst * scale
         chan_clear = ChannelSnapshot(h_clear, "clear", l)
@@ -448,10 +432,14 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
         seed_deltas = []
         for i in range(rx["num_noise_seeds"]):
             seed = rx["noise_seed"] + i
-            _, _, rep_clear = receive(chan_clear, pilot, rx["snr_db"], seed,
-                                      guard_samples=rx["guard_samples"])
-            _, _, rep_obst = receive(chan_obst, pilot, rx["snr_db"], seed,
-                                     guard_samples=rx["guard_samples"])
+            traces_clear, _, rep_clear = receive(
+                chan_clear, pilot, rx["snr_db"], seed,
+                guard_samples=rx["guard_samples"])
+            traces_obst, _, rep_obst = receive(
+                chan_obst, pilot, rx["snr_db"], seed,
+                guard_samples=rx["guard_samples"])
+            if i == 0:
+                traces = [(chan_clear, traces_clear), (chan_obst, traces_obst)]
             deltas = compute_metrics(rep_clear, rep_obst)
             deltas["noise_seed"] = seed
             seed_deltas.append(deltas)
@@ -459,7 +447,7 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     power_clear = float(np.mean(np.abs(h_clear) ** 2))
     power_obst = float(np.mean(np.abs(h_obst) ** 2))
     entry = {
-        "ring_radius_m": s.ring.radius_r,
+        "ring_radius_m": radius,
         "h_clear": _complex_list(h_clear),
         "h_obstructed": _complex_list(h_obst),
         "d_power_db": 10.0 * np.log10(power_obst / power_clear),
@@ -473,7 +461,7 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
         },
         "final_similarity": curve.similarity[-1],
     }
-    return entry, (chan_clear, chan_obst)
+    return entry, traces
 
 
 def write_report(report: dict, path):
@@ -493,16 +481,14 @@ def write_healing_csv(report: dict, path):
                 writer.writerow([l, z, s, p])
 
 
-def write_correlations_csv(channels, pilot, snr_db, noise_seed, guard, path):
-    from .rxchain import apply_channel, correlate_pilot
+def write_correlations_csv(traces, path):
+    """One row per lag of each antenna's pilot correlation; ``traces`` holds
+    (channel, per-antenna correlation traces) pairs."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "scenario", "antenna", "lag", "magnitude"])
-        for chan in channels:
-            streams = apply_channel(pilot, chan, snr_db, noise_seed,
-                                    guard_samples=guard)
-            for i, s in enumerate(streams):
-                trace = correlate_pilot(s, pilot)
+        for chan, chan_traces in traces:
+            for i, trace in enumerate(chan_traces):
                 for lag, mag in zip(trace.lags, trace.magnitude):
                     writer.writerow([chan.mode, chan.scenario_label, i + 1,
                                      int(lag), float(mag)])

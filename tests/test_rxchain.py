@@ -203,8 +203,12 @@ def test_receive_noiseless_end_to_end():
     pilot = generate_pilot(5, 2048)
     h = np.array([0.9 + 0.1j, 1.0 + 0j, 0.8 - 0.3j, 1.1 + 0.2j])
     chan = ChannelSnapshot(h=h, scenario_label="clear", mode=2)
-    streams, est, report = receive(chan, pilot, snr_db=float("inf"),
-                                   guard_samples=64)
+    traces, est, report = receive(chan, pilot, snr_db=float("inf"),
+                                  guard_samples=64)
+    assert len(traces) == len(h)
+    for trace in traces:
+        assert trace.peak_lag == 64
+        assert trace.peak_height == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(est.h, h, rtol=0, atol=1e-12)
     assert report.combined_evm_pct <= 1e-8
     assert isinstance(report, MetricsReport)

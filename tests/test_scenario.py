@@ -1,5 +1,6 @@
 """Config handling, the scenario pipeline and the command-line interface."""
 
+import csv
 import json
 
 import numpy as np
@@ -72,6 +73,24 @@ def test_grid_side_must_be_power_of_two_from_64(side, tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "grid.side" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", [0.0, -10.0, float("nan")])
+def test_max_step_must_be_positive(step, tmp_path, capsys):
+    assert _config_error_field({"grid": {"max_step_m": step}}) \
+        == "grid.max_step_m"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid": {"max_step_m": step}}))
+    assert main(["experiment", "--config", str(cfg_path), "--grid", "64",
+                 "--out", str(tmp_path)]) == 1
+    assert "grid.max_step_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0])
+def test_obstruction_must_lie_past_the_source(z):
+    assert _config_error_field({"obstruction": {"z_m": z}}) == "obstruction.z_m"
+    # the mask's position is not checked while the mask is off
+    assert validate_config({"obstruction": {"enabled": False, "z_m": z}})
 
 
 @pytest.mark.parametrize("modes", [[40], [-17], [2, 0], [2.0], [True]])
@@ -164,7 +183,7 @@ def test_full_blockage_fails_in_rx_stage():
     s = scenario_from_config(cfg, 2, obstructed=True, h_scale=None)
     with pytest.raises(ChannelError) as err:
         run_scenario(s)
-    assert str(err.value).startswith("[rx_chain]")
+    assert str(err.value) == "[rx_chain] mode 2: channel has zero magnitude"
 
 
 def test_experiment_without_obstruction_has_zero_deltas():
@@ -277,6 +296,10 @@ def test_stage_labels_are_prefixed():
     with pytest.raises(OamLinkError) as err:
         run_scenario(s)
     assert str(err.value).startswith("[synthesis]")
+    # so does an order the ring cannot carry
+    with pytest.raises(OamLinkError) as err:
+        run_scenario(scenario_from_config(cfg, 17, obstructed=False))
+    assert str(err.value).startswith("[synthesis]")
 
 
 def test_experiment_errors_carry_stage_labels():
@@ -326,3 +349,38 @@ def test_propagation_steps_per_run(monkeypatch):
     steps.clear()
     run_scenario(scenario_from_config(cfg, 2, obstructed=True))
     assert steps == [7.5, 7.5] + [8.75] * 4
+
+
+def test_receive_chain_runs_once_per_channel(monkeypatch, tmp_path):
+    # Each channel passes the receive chain once per noise seed, and
+    # correlations.csv is written from the traces of the first seed's pass.
+    from oamlink import rxchain
+    calls = []
+    real = rxchain.apply_channel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rxchain, "apply_channel", counting)
+    cfg = validate_config({"grid": {"side": 64},
+                           "rx": {"num_noise_seeds": 2}})
+    report = run_experiment(cfg, out_dir=tmp_path)
+    assert len(calls) == 2 * len(cfg["modes"]) * 2
+
+    rx = cfg["rx"]
+    pilot = rxchain.generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
+    expected = []
+    for l in cfg["modes"]:
+        for label, key in (("clear", "h_clear"), ("obstructed", "h_obstructed")):
+            h = np.array([complex(re, im) for re, im in report["modes"][str(l)][key]])
+            traces, _, _ = rxchain.receive(
+                rxchain.ChannelSnapshot(h, label, l), pilot, rx["snr_db"],
+                rx["noise_seed"], guard_samples=rx["guard_samples"])
+            expected += [[str(l), label, str(i + 1), str(lag), float(mag)]
+                         for i, t in enumerate(traces)
+                         for lag, mag in zip(t.lags, t.magnitude)]
+    with open(tmp_path / "correlations.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["mode", "scenario", "antenna", "lag", "magnitude"]
+    assert [r[:4] + [float(r[4])] for r in rows[1:]] == expected
