@@ -84,21 +84,30 @@ def azimuthal_spectrum(field: ScalarField, ring_radius: float, max_mode: int,
 def field_similarity(obstructed: ScalarField, clear: ScalarField,
                      annulus: tuple) -> float:
     """Normalized overlap |<u, v>|^2 / (|u|^2 |v|^2) restricted to a centered
-    annulus (r_inner, r_outer)."""
+    annulus (r_inner, r_outer).
+
+    The region is built only over the square of rows and columns whose
+    coordinate c has c**2 <= r_outer**2; no sample outside it can lie in the
+    annulus, so the selected samples and their order match a full-grid
+    selection.  The overlap is a numpy sum, not a BLAS dot product, so its
+    rounding does not depend on the BLAS thread count."""
     obstructed.require_same_plane(clear)
     r_in, r_out = annulus
     if not 0 <= r_in < r_out:
         raise GeometryError("annulus needs 0 <= r_inner < r_outer")
-    X, Y = obstructed.meshgrid()
-    rho2 = X ** 2 + Y ** 2
+    c2 = obstructed.coords() ** 2
+    rows = np.flatnonzero(c2 <= r_out ** 2)   # never empty: c = 0 is on the grid
+    box = slice(rows[0], rows[-1] + 1)
+    c2 = c2[box]
+    rho2 = c2[None, :] + c2[:, None]
     region = (rho2 >= r_in ** 2) & (rho2 <= r_out ** 2)
-    u = obstructed.samples[region]
-    v = clear.samples[region]
+    u = obstructed.samples[box, box][region]
+    v = clear.samples[box, box][region]
     nu = float(np.sum(np.abs(u) ** 2))
     nv = float(np.sum(np.abs(v) ** 2))
     if nu <= 0 or nv <= 0:
         raise GeometryError("zero field power in the annulus region")
-    return float(np.abs(np.vdot(u, v)) ** 2 / (nu * nv))
+    return float(np.abs(np.sum(u.conj() * v)) ** 2 / (nu * nv))
 
 
 def advance_beams(source: ScalarField, mask: ObstructionMask | None, z_planes,

@@ -14,12 +14,18 @@ key and kept, read-only, in a least-recently-used cache of
 ``_TRANSFER_CACHE_SIZE`` = 4 entries: the four hop lengths of the default
 experiment (10, 1, 4 and 5 m).  Each entry holds H (``side**2 * 16``
 bytes, 16 MiB at 1024^2) and its kept-band mask (``side**2`` bytes).
+
+Every FFT runs on ``_FFT_WORKERS`` threads: all cores in the process's
+affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
+setting.  pocketfft only splits the independent 1-D transforms across the
+threads, so the output is bit-identical whatever the count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,8 @@ from .errors import GeometryError, OutOfExtentError, PlaneMismatchError, Samplin
 from .field import ScalarField
 
 _TRANSFER_CACHE_SIZE = 4
+_FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
 
 
 def _band_limit(extent: float, wavelength: float, dz: float) -> float:
@@ -77,7 +85,7 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
         raise GeometryError("dz must be positive")
     transfer, keep = _transfer_function(field.side, field.extent,
                                         field.wavelength, dz, band_limited)
-    spectrum = fft.fft2(field.samples)
+    spectrum = fft.fft2(field.samples, workers=_FFT_WORKERS)
     if max_truncation is not None:
         total = float(np.sum(np.abs(spectrum) ** 2))
         kept = float(np.sum(np.abs(spectrum[keep]) ** 2))
@@ -85,7 +93,7 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
             raise SamplingError(
                 "field angular bandwidth exceeds the grid's representable range")
     spectrum *= transfer
-    out = fft.ifft2(spectrum, overwrite_x=True)
+    out = fft.ifft2(spectrum, overwrite_x=True, workers=_FFT_WORKERS)
     return field.with_samples(out, z=field.z_position + dz)
 
 
@@ -136,9 +144,10 @@ def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
     fx = np.fft.fftfreq(field.side, d=field.spacing)
     fx2 = fx * fx
     f_max = math.sin(theta_max) / field.wavelength
-    spectrum = fft.fft2(field.samples)
+    spectrum = fft.fft2(field.samples, workers=_FFT_WORKERS)
     spectrum *= fx2[None, :] + fx2[:, None] <= f_max ** 2
-    return field.with_samples(fft.ifft2(spectrum, overwrite_x=True))
+    return field.with_samples(fft.ifft2(spectrum, overwrite_x=True,
+                                        workers=_FFT_WORKERS))
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,12 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("grid.max_step_m", "must be positive")
     if merged["rx"]["num_noise_seeds"] < 1:
         raise ConfigError("rx.num_noise_seeds", "must be at least 1")
-    if math.isnan(merged["rx"]["snr_db"]):
-        raise ConfigError("rx.snr_db", "must not be NaN")
+    snr_db = merged["rx"]["snr_db"]
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ConfigError("rx.snr_db", "must not be NaN or -inf")
+    for name in ("noise_seed", "pilot_seed", "guard_samples"):
+        if merged["rx"][name] < 0:
+            raise ConfigError("rx." + name, "must not be negative")
     if merged["rx"]["pilot_symbols"] < MIN_PILOT_SYMBOLS:
         raise ConfigError("rx.pilot_symbols",
                           f"must be at least {MIN_PILOT_SYMBOLS}")

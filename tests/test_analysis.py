@@ -134,6 +134,48 @@ def test_similarity_bounds_and_errors():
         field_similarity(b, a, (0.5, 1.5))
 
 
+def _full_grid_similarity(obstructed, clear, annulus):
+    """Reference: the annulus selected on the full meshgrid, overlap summed
+    by numpy."""
+    r_in, r_out = annulus
+    X, Y = obstructed.meshgrid()
+    rho2 = X ** 2 + Y ** 2
+    region = (rho2 >= r_in ** 2) & (rho2 <= r_out ** 2)
+    u = obstructed.samples[region]
+    v = clear.samples[region]
+    nu = float(np.sum(np.abs(u) ** 2))
+    nv = float(np.sum(np.abs(v) ** 2))
+    return float(np.abs(np.sum(u.conj() * v)) ** 2 / (nu * nv))
+
+
+@pytest.mark.parametrize("annulus", [
+    (0.5, 1.5),        # inside the grid
+    (0.5, 1.0),        # r_out exactly on a grid coordinate (64 * 4/256)
+    (1.0, 2.5),        # r_out beyond the grid edge
+    (0.0, 3.5),        # r_out beyond the grid corner: the whole grid
+    (0.99, 1.01),      # thin annulus
+])
+def test_similarity_matches_full_grid_reference(annulus):
+    side, extent = 256, 4.0
+    c = (np.arange(side) - side // 2) * (extent / side)
+    X, Y = np.meshgrid(c, c)
+    rng = np.random.default_rng(5)
+    # off-centre beam against a perturbed copy of it
+    beam = np.exp(-((X - 0.4) ** 2 + (Y + 0.3) ** 2) / 0.8) \
+        * np.exp(1j * np.arctan2(Y + 0.3, X - 0.4))
+    noise = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    a = ScalarField(beam, extent, 0.0, 0.0107)
+    b = a.with_samples(beam + 0.3 * noise)
+    assert field_similarity(b, a, annulus) == _full_grid_similarity(b, a, annulus)
+    assert field_similarity(a, b, annulus) == _full_grid_similarity(a, b, annulus)
+
+
+def test_similarity_annulus_off_the_grid_has_no_power():
+    a = _ring_field(side=256, extent=4.0, ring=1.0, width=0.3)
+    with pytest.raises(GeometryError):
+        field_similarity(a, a, (3.0, 3.5))      # past the grid corner
+
+
 def test_healing_curve_control_and_validation():
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)

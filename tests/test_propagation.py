@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing,
-                     angular_bandlimit, apply_mask, propagate, sample_points,
-                     synthesize_source_field)
+                     angular_bandlimit, apply_mask, propagate, propagation,
+                     sample_points, synthesize_source_field)
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import (GeometryError, OutOfExtentError,
                             PlaneMismatchError, SamplingError)
@@ -271,6 +271,19 @@ def test_angular_bandlimit():
     assert np.max(np.abs(spec[outside])) <= 1e-9 * np.max(np.abs(spec))
     with pytest.raises(GeometryError):
         angular_bandlimit(f, 0.0)
+
+
+def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    src = synthesize_source_field(ring, 256, 3.0, 0.010707)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(propagation, "_FFT_WORKERS", workers)
+        limited = angular_bandlimit(src, math.radians(5.0))
+        outputs.append((limited.samples, propagate(limited, 10.0).samples))
+    (lim1, out1), (lim2, out2) = outputs
+    assert np.array_equal(lim1, lim2)
+    assert np.array_equal(out1, out2)
 
 
 def test_mask_validation():

@@ -104,6 +104,30 @@ def test_snr_must_not_be_nan():
     assert validate_config({"rx": {"snr_db": float("inf")}})
 
 
+def test_snr_must_not_be_minus_inf(tmp_path, capsys):
+    assert _config_error_field({"rx": {"snr_db": float("-inf")}}) == "rx.snr_db"
+    assert main(["simulate", "--grid", "64", "--snr-db=-inf",
+                 "--out", str(tmp_path)]) == 1
+    assert "rx.snr_db" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["noise_seed", "pilot_seed", "guard_samples"])
+def test_seeds_and_guard_must_not_be_negative(name, tmp_path, capsys):
+    assert _config_error_field({"rx": {name: -3}}) == "rx." + name
+    assert validate_config({"rx": {name: 0}})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rx": {name: -3}}))
+    assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
+                 "--out", str(tmp_path)]) == 1
+    assert "rx." + name in capsys.readouterr().err
+
+
+def test_seed_override_must_not_be_negative(tmp_path, capsys):
+    assert main(["simulate", "--grid", "64", "--seed", "-1",
+                 "--out", str(tmp_path)]) == 1
+    assert "rx.noise_seed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("planes", [
     [], [50.0, 11.0], [5.0], [10.0], [60.0], [11.0, 11.0], [11.0, "50"],
     [True], [11.0, float("nan"), 50.0]])
