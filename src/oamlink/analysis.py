@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, NyquistError
-from .field import ScalarField
+from .field import FieldSpectrum, ScalarField
 from .propagation import ObstructionMask, apply_mask, propagate_to, sample_points
 from .wavevector import beam_radius_at
 
@@ -110,11 +110,13 @@ def field_similarity(obstructed: ScalarField, clear: ScalarField,
     return float(np.abs(np.sum(u.conj() * v)) ** 2 / (nu * nv))
 
 
-def advance_beams(source: ScalarField, mask: ObstructionMask | None, z_planes,
+def advance_beams(source: ScalarField | FieldSpectrum,
+                  mask: ObstructionMask | None, z_planes,
                   max_step: float = 10.0, edge_margin: float = 0.05,
                   keep_clear: bool = True):
     """Carry the clear beam from ``source`` and, behind ``mask``, the
-    obstructed beam through the strictly increasing ``z_planes``.
+    obstructed beam through the strictly increasing ``z_planes``.  From a
+    spectrum the first step is its launch (``propagate_to``).
 
     Yields ``(z, clear, obstructed)`` at the mask plane (obstructed is the
     masked field there), then at each plane of ``z_planes``; all of them
@@ -145,16 +147,17 @@ def advance_beams(source: ScalarField, mask: ObstructionMask | None, z_planes,
         yield z, clear, obstructed
 
 
-def healing_curve(source: ScalarField, mask: ObstructionMask, order_l: int,
-                  ring_radius: float, z_samples,
+def healing_curve(source: ScalarField | FieldSpectrum, mask: ObstructionMask,
+                  order_l: int, ring_radius: float, z_samples,
                   max_step: float = 10.0, edge_margin: float = 0.05,
                   max_mode: int = 8) -> HealingCurve:
     """Similarity and mode purity of the obstructed beam versus the clear one
     at each requested plane.
 
-    ``source`` is the field at the source plane; ``ring_radius`` the radius
-    of the transmitting ring (sets the per-plane analysis annulus through
-    the conical-spread estimate).  ``mask`` may be None for a control run.
+    ``source`` is the field, or its spectrum, at the source plane;
+    ``ring_radius`` the radius of the transmitting ring (sets the per-plane
+    analysis annulus through the conical-spread estimate).  ``mask`` may be
+    None for a control run.
     """
     curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
     for z, clear, obstructed in advance_beams(source, mask, z_samples,

@@ -1,4 +1,5 @@
-"""Sampled transverse scalar fields and their on-disk snapshot formats."""
+"""Sampled transverse scalar fields, their band-limited spectra and their
+on-disk snapshot formats."""
 
 from __future__ import annotations
 
@@ -77,6 +78,28 @@ class ScalarField:
         if abs(self.z_position - other.z_position) > atol:
             raise PlaneMismatchError(
                 f"fields at z={self.z_position} vs z={other.z_position}")
+
+
+@dataclass(frozen=True)
+class FieldSpectrum:
+    """Band-limited 2-D DFT of a field at one z-plane, held on a box of bins.
+
+    ``values[a, b]`` is the unnormalized DFT coefficient (as ``fft2`` of the
+    sampled field gives it) at row bin ``bins[a]`` (fy) and column bin
+    ``bins[b]`` (fx); every bin outside the box is zero.  ``bins`` holds
+    distinct indices into the ``side``-point FFT frequency axis."""
+
+    values: np.ndarray
+    bins: np.ndarray
+    side: int
+    extent: float
+    z_position: float
+    wavelength: float
+
+    def __post_init__(self):
+        n = len(self.bins)
+        if self.values.shape != (n, n):
+            raise GeometryError("spectrum box must be square over its bins")
 
 
 def write_field(f: ScalarField, path):

@@ -1,4 +1,5 @@
-"""Free-space propagation of sampled scalar fields and obstruction masks.
+"""Free-space propagation of sampled scalar fields and of band-limited
+spectra, and obstruction masks.
 
 Propagation uses the band-limited angular-spectrum method (Matsushima &
 Shimobaba, Opt. Express 17, 19662, 2009): FFT the field, advance every
@@ -8,12 +9,18 @@ limit tied to the step size and grid extent.  Long hops should be split
 into sub-steps (see ``propagate_to``) so the band limit stays generous.
 
 A step costs one forward FFT (``scipy.fft``, complex128), one in-place
-multiply by the transfer function H and one inverse FFT.  H depends only
-on (side, extent, wavelength, dz, band_limited), so it is built once per
-key and kept, read-only, in a least-recently-used cache of
-``_TRANSFER_CACHE_SIZE`` = 4 entries: the four hop lengths of the default
-experiment (10, 1, 4 and 5 m).  Each entry holds H (``side**2 * 16``
-bytes, 16 MiB at 1024^2) and its kept-band mask (``side**2`` bytes).
+multiply by the transfer function H and one inverse FFT.  A walk that
+starts from a band-limited spectrum (``FieldSpectrum``, e.g. the source
+from ``beams.source_spectrum``) takes its first step as a ``launch``: the
+spectrum's box of bins times H, scattered into an empty grid, and one
+inverse FFT, with no forward FFT.  H depends only on (side, extent,
+wavelength, dz, band_limited), so it is built once per key and kept,
+read-only, in a least-recently-used cache of ``_TRANSFER_CACHE_SIZE`` = 4
+entries: the four hop lengths of the default experiment (10, 1, 4 and
+5 m).  Each entry holds H (``side**2 * 16`` bytes, 16 MiB at 1024^2) and
+its kept-band mask (``side**2`` bytes).  H is even in fx and in fy, so
+the square root and the exponential run on one quadrant of bins and the
+quadrant is mirrored out, with the same bits as a full-grid build.
 
 Every FFT runs on ``_FFT_WORKERS`` threads: all cores in the process's
 affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
@@ -32,7 +39,7 @@ import numpy as np
 from scipy import fft
 
 from .errors import GeometryError, OutOfExtentError, PlaneMismatchError, SamplingError
-from .field import ScalarField
+from .field import FieldSpectrum, ScalarField
 
 _TRANSFER_CACHE_SIZE = 4
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -54,8 +61,13 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
                        band_limited: bool):
     """Read-only (H, keep) for one step: H = exp(j*2*pi*dz*sqrt(1/lambda^2 -
     fx^2 - fy^2)) on the kept band, 0 elsewhere; ``keep`` marks the
-    propagating (and, if ``band_limited``, in-band) components."""
-    fx = np.fft.fftfreq(side, d=extent / side)
+    propagating (and, if ``band_limited``, in-band) components.
+
+    Bins i and side - i hold frequencies of opposite sign and equal
+    magnitude, bit for bit, and H depends on each axis only through fx^2 and
+    |fx|.  So H is computed on the quadrant of bins 0..side//2 and mirrored
+    out; the result equals the full-grid build element for element."""
+    fx = np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
     fx2 = fx * fx
     kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
     keep = kz_sq > 0
@@ -69,9 +81,23 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
     transfer = phase * 1j
     np.exp(transfer, out=transfer)
     transfer *= keep
+    transfer = _unfold(transfer, side)
+    keep = _unfold(keep, side)
     transfer.flags.writeable = False
     keep.flags.writeable = False
     return transfer, keep
+
+
+def _unfold(quadrant: np.ndarray, side: int) -> np.ndarray:
+    """The (side, side) array whose [i, j] is ``quadrant[min(i, side - i),
+    min(j, side - j)]``, for a quadrant of side // 2 + 1 rows and columns."""
+    h = quadrant.shape[0]
+    back = slice(side - h, 0, -1)
+    full = np.empty((side, side), dtype=quadrant.dtype)
+    full[:h, :h] = quadrant
+    full[:h, h:] = quadrant[:, back]
+    full[h:] = full[back]
+    return full
 
 
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
@@ -97,12 +123,42 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
     return field.with_samples(out, z=field.z_position + dz)
 
 
-def propagate_to(field: ScalarField, z_target: float, max_step: float = 10.0,
+def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
+    """Field at z + dz of a field given by its band-limited spectrum: the box
+    times the step's cached (band-limited) H, scattered into an empty grid,
+    and one inverse FFT.  It equals ``propagate`` of the spectrum's field,
+    without the forward FFT."""
+    if dz <= 0:
+        raise GeometryError("dz must be positive")
+    transfer, _ = _transfer_function(spectrum.side, spectrum.extent,
+                                     spectrum.wavelength, dz, True)
+    box = np.ix_(spectrum.bins, spectrum.bins)
+    return _inverse(spectrum, spectrum.values * transfer[box], dz)
+
+
+def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
+    """The sampled field of ``spectrum`` at its own plane."""
+    return _inverse(spectrum, spectrum.values, 0.0)
+
+
+def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
+             dz: float) -> ScalarField:
+    grid = np.zeros((spectrum.side, spectrum.side), dtype=np.complex128)
+    grid[np.ix_(spectrum.bins, spectrum.bins)] = values
+    samples = fft.ifft2(grid, overwrite_x=True, workers=_FFT_WORKERS)
+    return ScalarField(samples=samples, extent=spectrum.extent,
+                       z_position=spectrum.z_position + dz,
+                       wavelength=spectrum.wavelength)
+
+
+def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
+                 max_step: float = 10.0,
                  edge_margin: float = 0.0) -> ScalarField:
     """Propagate to an absolute plane, splitting into steps of at most
     ``max_step``.  ``edge_margin`` > 0 applies a soft absorbing taper over
     that outer fraction of the grid after every step (suppresses wrap-around
-    on long hops at the cost of strict power conservation)."""
+    on long hops at the cost of strict power conservation).  From a
+    ``FieldSpectrum`` the first step is its ``launch``."""
     dz_total = z_target - field.z_position
     if dz_total <= 0:
         raise GeometryError("target plane must lie beyond the current plane")
@@ -110,7 +166,10 @@ def propagate_to(field: ScalarField, z_target: float, max_step: float = 10.0,
     step = dz_total / n_steps
     out = field
     for _ in range(n_steps):
-        out = propagate(out, step)
+        if isinstance(out, FieldSpectrum):
+            out = launch(out, step)
+        else:
+            out = propagate(out, step)
         if edge_margin > 0:
             _absorb_edges(out.samples, edge_margin)
     return out
@@ -136,8 +195,10 @@ def _absorb_edges(samples: np.ndarray, margin: float) -> None:
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
     """Zero all plane-wave components steeper than ``theta_max`` (rad).
 
-    Used to keep ring sources, which splat energy across the whole grid
-    band, inside the paraxial cone the simulation cares about.
+    Keeps a splatted ring source, whose energy spreads across the whole
+    grid band, inside the paraxial cone the simulation cares about.  The
+    runners take that spectrum directly from ``beams.source_spectrum``;
+    this two-FFT form is its full-grid reference.
     """
     if not 0 < theta_max < np.pi / 2:
         raise GeometryError("theta_max must lie in (0, pi/2)")
@@ -175,17 +236,18 @@ class ObstructionMask:
             raise GeometryError("transmittance must lie in [0, 1]")
 
     def transmittance_map(self, field: ScalarField) -> np.ndarray:
-        X, Y = field.meshgrid()
-        dx = X - self.center_x
-        dy = Y - self.center_y
+        """``transmittance`` at the samples inside the shape, 1 elsewhere.
+        Built from the 1-D offsets of the columns (x) and the rows (y)."""
+        c = field.coords()
+        dx = c - self.center_x
+        dy = c - self.center_y
         if self.shape == "disk":
-            inside = dx ** 2 + dy ** 2 <= (self.size[0] / 2.0) ** 2
+            inside = dx[None, :] ** 2 + dy[:, None] ** 2 \
+                <= (self.size[0] / 2.0) ** 2
         else:
             w, h = self.size
-            inside = (np.abs(dx) <= w / 2.0) & (np.abs(dy) <= h / 2.0)
-        tmap = np.ones_like(X)
-        tmap[inside] = self.transmittance
-        return tmap
+            inside = np.outer(np.abs(dy) <= h / 2.0, np.abs(dx) <= w / 2.0)
+        return np.where(inside, self.transmittance, 1.0)
 
 
 def apply_mask(field: ScalarField, mask: ObstructionMask,

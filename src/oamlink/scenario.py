@@ -16,15 +16,15 @@ import scipy
 
 from . import __version__
 from .analysis import HealingCurve, advance_beams
-from .beams import SourceRing, matched_radius, synthesize_source_field
+from .beams import SourceRing, matched_radius, source_spectrum
 from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
-from .field import ScalarField, write_field
+from .field import FieldSpectrum, write_field
 from .link_design import (LinkBudget, compare_with_reference, derive_link,
                           max_beam_radius)
-from .propagation import ObstructionMask, angular_bandlimit, sample_points
+from .propagation import ObstructionMask, sample_points, spectrum_field
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
-                      generate_pilot, receive)
+                      generate_pilot, noise_sigma, receive)
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
 
 _REFERENCE_RING = (2, 0.149)   # order and radius every unmatched mode scales from
@@ -152,6 +152,14 @@ def validate_config(cfg: dict) -> dict:
     snr_db = merged["rx"]["snr_db"]
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ConfigError("rx.snr_db", "must not be NaN or -inf")
+    if snr_db != math.inf:
+        try:
+            sigma = float(noise_sigma(snr_db))
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.nan
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError("rx.snr_db", f"{snr_db:g} dB gives no finite, "
+                                           f"positive noise scale")
     for name in ("noise_seed", "pilot_seed", "guard_samples"):
         if merged["rx"][name] < 0:
             raise ConfigError("rx." + name, "must not be negative")
@@ -256,15 +264,16 @@ def _stage(name: str):
         raise
 
 
-def _source_field(cfg: dict, order_l: int) -> ScalarField:
-    """The order's ring deposited on the grid, band-limited to its cone."""
+def _source_spectrum(cfg: dict, order_l: int) -> FieldSpectrum:
+    """The order's ring at the source plane, as its spectrum band-limited to
+    the cone."""
     with _stage("synthesis"):
         ring = SourceRing(radius_r=ring_radius_for(cfg, order_l),
                           num_elements_N=cfg["ring_elements"], order_l=order_l)
         grid = cfg["grid"]
-        src = synthesize_source_field(ring, grid["side"], grid["extent_m"],
-                                      wavelength_from(cfg))
-        return angular_bandlimit(src, float(np.radians(grid["theta_max_deg"])))
+        return source_spectrum(ring, grid["side"], grid["extent_m"],
+                               wavelength_from(cfg),
+                               float(np.radians(grid["theta_max_deg"])))
 
 
 def _unit_scale(h: np.ndarray, order_l: int) -> float:
@@ -281,11 +290,11 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     receiver-plane fields in ``fields``."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     distance = cfg["link"]["distance_m"]
-    src = _source_field(cfg, s.order_l)
-    fields = {"source": src} if keep_fields else {}
+    src = _source_spectrum(cfg, s.order_l)
+    fields = {"source": spectrum_field(src)} if keep_fields else {}
     walk = advance_beams(src, s.obstruction, [distance], grid["max_step_m"],
                          grid["edge_margin"], keep_clear=False)
-    del src   # the walk drops the source after its first hop
+    del src   # the walk drops the source after its launch
     with _stage("propagation"):
         for z, clear, obstructed in walk:
             beam = clear if obstructed is None else obstructed
@@ -404,7 +413,7 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     traces) pairs of the clear and obstructed runs at the first noise
     seed."""
     grid, rx = cfg["grid"], cfg["rx"]
-    walk = advance_beams(_source_field(cfg, l), mask, z_samples,
+    walk = advance_beams(_source_spectrum(cfg, l), mask, z_samples,
                          grid["max_step_m"], grid["edge_margin"])
     radius = ring_radius_for(cfg, l)
     curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])

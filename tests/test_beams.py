@@ -6,8 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oamlink import (FarFieldPattern, SourceRing, cone_angle, far_field,
-                     matched_radius, synthesize_source_field)
+from oamlink import (FarFieldPattern, SourceRing, angular_bandlimit,
+                     cone_angle, far_field, matched_radius, source_spectrum,
+                     spectrum_field, synthesize_source_field)
 from oamlink.analysis import azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
 
@@ -116,3 +117,43 @@ def test_synthesis_extent_guard():
     ring = SourceRing(radius_r=0.6, num_elements_N=238, order_l=2)
     with pytest.raises(GeometryError):
         synthesize_source_field(ring, 256, 2.0, 0.010707)
+
+
+def test_source_spectrum_is_the_band_limited_splat():
+    lam, theta = 0.010707, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=3)
+    spectrum = source_spectrum(ring, 256, 3.0, lam, theta)
+    fx = np.fft.fftfreq(256, d=3.0 / 256)
+    f_max = math.sin(theta) / lam
+    assert np.array_equal(spectrum.bins, np.flatnonzero(fx ** 2 <= f_max ** 2))
+    assert spectrum.z_position == 0.0
+    full = np.fft.fft2(synthesize_source_field(ring, 256, 3.0, lam).samples)
+    FX, FY = np.meshgrid(fx, fx)
+    full[FX ** 2 + FY ** 2 > f_max ** 2] = 0.0
+    box = full[np.ix_(spectrum.bins, spectrum.bins)]
+    # the box holds the whole band-limited spectrum
+    assert np.sum(np.abs(box) ** 2) == pytest.approx(
+        np.sum(np.abs(full) ** 2), rel=1e-12)
+    assert np.max(np.abs(spectrum.values - box)) \
+        <= 1e-12 * np.max(np.abs(box))
+    ref = angular_bandlimit(synthesize_source_field(ring, 256, 3.0, lam),
+                            theta)
+    src = spectrum_field(spectrum)
+    assert src.z_position == 0.0
+    assert np.max(np.abs(src.samples - ref.samples)) \
+        <= 1e-12 * np.max(np.abs(ref.samples))
+
+
+def test_source_spectrum_guards():
+    theta = math.radians(5.0)
+    ring = SourceRing(radius_r=0.6, num_elements_N=238, order_l=2)
+    with pytest.raises(GeometryError, match="4x the ring radius"):
+        source_spectrum(ring, 256, 2.0, 0.010707, theta)
+    silent = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2,
+                        amplitude=0.0)
+    with pytest.raises(GeometryError, match="zero power"):
+        source_spectrum(silent, 256, 2.0, 0.010707, theta)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    for bad in (0.0, math.pi / 2):
+        with pytest.raises(GeometryError, match="theta_max"):
+            source_spectrum(ring, 256, 2.0, 0.010707, bad)

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing,
-                     angular_bandlimit, apply_mask, propagate, propagation,
-                     sample_points, synthesize_source_field)
+                     angular_bandlimit, apply_mask, launch, propagate,
+                     propagation, sample_points, source_spectrum,
+                     synthesize_source_field)
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import (GeometryError, OutOfExtentError,
                             PlaneMismatchError, SamplingError)
-from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _transfer_function,
-                                 band_limit_frequency, propagate_to)
+from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _band_limit,
+                                 _transfer_function, band_limit_frequency,
+                                 propagate_to)
 
 
 def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
@@ -276,14 +278,67 @@ def test_angular_bandlimit():
 def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
     src = synthesize_source_field(ring, 256, 3.0, 0.010707)
+    spectrum = source_spectrum(ring, 256, 3.0, 0.010707, math.radians(5.0))
     outputs = []
     for workers in (1, 2):
         monkeypatch.setattr(propagation, "_FFT_WORKERS", workers)
         limited = angular_bandlimit(src, math.radians(5.0))
-        outputs.append((limited.samples, propagate(limited, 10.0).samples))
-    (lim1, out1), (lim2, out2) = outputs
-    assert np.array_equal(lim1, lim2)
-    assert np.array_equal(out1, out2)
+        outputs.append((limited.samples, propagate(limited, 10.0).samples,
+                        launch(spectrum, 10.0).samples))
+    for one, two in zip(*outputs):
+        assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, -3])
+@pytest.mark.parametrize("side", [1024, 64])
+def test_launch_matches_the_synthesized_source_path(order, side):
+    # 12 m at 1024^2 keeps a 195-bin box of the 5-degree cone; at 64^2 the
+    # cone covers every bin
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=order)
+    spectrum = source_spectrum(ring, side, 12.0, lam, theta)
+    assert len(spectrum.bins) == min(side, 195)
+    launched = launch(spectrum, 10.0)
+    src = angular_bandlimit(synthesize_source_field(ring, side, 12.0, lam),
+                            theta)
+    ref = propagate(src, 10.0)
+    assert launched.z_position == ref.z_position == 10.0
+    assert np.max(np.abs(launched.samples - ref.samples)) \
+        <= 1e-12 * np.max(np.abs(ref.samples))
+    with pytest.raises(GeometryError):
+        launch(spectrum, 0.0)
+
+
+def _full_grid_transfer(side, extent, wavelength, dz, band_limited):
+    """The transfer function built over every bin of the grid."""
+    fx = np.fft.fftfreq(side, d=extent / side)
+    fx2 = fx * fx
+    kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
+    keep = kz_sq > 0
+    if band_limited:
+        in_band = np.abs(fx) <= _band_limit(extent, wavelength, dz)
+        keep &= in_band[None, :] & in_band[:, None]
+    phase = np.maximum(kz_sq, 0.0, out=kz_sq)
+    np.sqrt(phase, out=phase)
+    phase *= 2.0 * np.pi
+    phase *= dz
+    transfer = phase * 1j
+    np.exp(transfer, out=transfer)
+    transfer *= keep
+    return transfer, keep
+
+
+@pytest.mark.parametrize("side", [64, 65])
+@pytest.mark.parametrize("band_limited", [True, False])
+def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
+    # 2 mm spacing and a 5 cm step: the band limit (74 /m) lies inside the
+    # evanescent cut (93 /m), which lies inside the grid's band (250 /m)
+    key = (side, 0.002 * side, 0.0107, 0.05, band_limited)
+    transfer, keep = _transfer_function(*key)
+    ref_transfer, ref_keep = _full_grid_transfer(*key)
+    assert 100 < np.count_nonzero(keep) < side * side // 4
+    assert np.array_equal(keep, ref_keep)
+    assert np.array_equal(transfer, ref_transfer)
 
 
 def test_mask_validation():
@@ -310,6 +365,24 @@ def test_mask_geometry_and_plane_check():
     rect = ObstructionMask("rectangle", 0.0, -0.1, (0.2, 0.1), 5.0)
     with pytest.raises(PlaneMismatchError):
         apply_mask(f, rect)
+
+
+@pytest.mark.parametrize("transmittance", [0.0, 0.25])
+def test_mask_map_matches_a_meshgrid_reference(transmittance):
+    f = _bandlimited_field(extent=0.64)
+    X, Y = f.meshgrid()
+    disk = ObstructionMask("disk", 0.07, -0.11, (0.25,), 0.0, transmittance)
+    rect = ObstructionMask("rectangle", -0.05, 0.12, (0.3, 0.14), 0.0,
+                           transmittance)
+    dx, dy = X - 0.07, Y + 0.11
+    in_disk = dx ** 2 + dy ** 2 <= (0.25 / 2.0) ** 2
+    dx, dy = X + 0.05, Y - 0.12
+    in_rect = (np.abs(dx) <= 0.3 / 2.0) & (np.abs(dy) <= 0.14 / 2.0)
+    for mask, inside in ((disk, in_disk), (rect, in_rect)):
+        ref = np.ones_like(X)
+        ref[inside] = transmittance
+        assert 0 < np.count_nonzero(inside) < inside.size
+        assert np.array_equal(mask.transmittance_map(f), ref)
 
 
 def test_rectangle_shadow_matches_geometric_estimate():

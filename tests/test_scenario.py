@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from oamlink import (default_config, run_experiment, run_scenario,
-                     scenario_from_config, validate_config)
+from oamlink import (SourceRing, angular_bandlimit, default_config,
+                     run_experiment, run_scenario, scenario_from_config,
+                     synthesize_source_field, validate_config)
 from oamlink.cli import main
 from oamlink.errors import ChannelError, ConfigError, OamLinkError
 from oamlink.scenario import (obstruction_from, ring_radius_for,
@@ -111,6 +113,19 @@ def test_snr_must_not_be_minus_inf(tmp_path, capsys):
     assert "rx.snr_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr_db", [-4000.0, -3300.0, 3100.0, 1e300])
+def test_snr_must_give_a_finite_positive_noise_scale(snr_db, tmp_path,
+                                                     capsys):
+    # 10**(snr_db/10) underflows to 0 below about -3240 dB and overflows
+    # above about 3080 dB; the noise scale is then not a positive number
+    assert _config_error_field({"rx": {"snr_db": snr_db}}) == "rx.snr_db"
+    assert main(["simulate", "--grid", "64", f"--snr-db={snr_db}",
+                 "--out", str(tmp_path)]) == 1
+    assert "rx.snr_db" in capsys.readouterr().err
+    assert validate_config({"rx": {"snr_db": -3000.0}})
+    assert validate_config({"rx": {"snr_db": 3000.0}})
+
+
 @pytest.mark.parametrize("name", ["noise_seed", "pilot_seed", "guard_samples"])
 def test_seeds_and_guard_must_not_be_negative(name, tmp_path, capsys):
     assert _config_error_field({"rx": {name: -3}}) == "rx." + name
@@ -199,6 +214,23 @@ def test_run_scenario_clear_small_grid():
     assert result.fields["receiver_plane"].z_position == pytest.approx(50.0)
     # auto-normalization: mean |h| of the snapshot is unity
     assert np.mean(np.abs(result.channel.h)) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_source_dump_is_the_band_limited_source():
+    cfg = _small_cfg()
+    result = run_scenario(scenario_from_config(cfg, 2, obstructed=True),
+                          keep_fields=True)
+    ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
+                      num_elements_N=cfg["ring_elements"], order_l=2)
+    ref = angular_bandlimit(
+        synthesize_source_field(ring, 128, 2.0, wavelength_from(cfg)),
+        math.radians(cfg["grid"]["theta_max_deg"]))
+    src = result.fields["source"]
+    assert src.z_position == 0.0
+    assert np.max(np.abs(src.samples - ref.samples)) \
+        <= 1e-12 * np.max(np.abs(ref.samples))
+    assert set(result.fields) == {"source", "obstruction_plane",
+                                  "receiver_plane"}
 
 
 def test_full_blockage_fails_in_rx_stage():
@@ -343,36 +375,50 @@ def test_experiment_errors_carry_stage_labels():
 def test_propagation_steps_per_run(monkeypatch):
     # The clear and obstructed beams share the hop to the mask plane, then
     # each takes its own hop to every analysis plane; a single scenario
-    # walks straight to the receiver in max_step hops.
+    # walks straight to the receiver in max_step hops.  The first step of
+    # every walk launches the source spectrum; the rest are propagate calls.
     from oamlink import propagation
-    steps = []
-    real = propagation.propagate
+    steps, launches = [], []
+    real_propagate, real_launch = propagation.propagate, propagation.launch
 
     def counting(field, dz, *args, **kwargs):
         steps.append(dz)
-        return real(field, dz, *args, **kwargs)
+        return real_propagate(field, dz, *args, **kwargs)
+
+    def counting_launch(spectrum, dz):
+        steps.append(dz)
+        launches.append(dz)
+        return real_launch(spectrum, dz)
 
     monkeypatch.setattr(propagation, "propagate", counting)
+    monkeypatch.setattr(propagation, "launch", counting_launch)
     cfg = validate_config({"grid": {"side": 64}})
     run_experiment(cfg)
     per_order = [10.0] + [dz for dz in (1.0, 4.0) + (5.0,) * 7
                           for _beam in ("clear", "obstructed")]
     assert len(per_order) == 19
     assert steps == per_order * len(cfg["modes"])
+    assert launches == [10.0] * len(cfg["modes"])
     for obstructed in (False, True):
         steps.clear()
+        launches.clear()
         run_scenario(scenario_from_config(cfg, 2, obstructed))
         assert steps == [10.0] * 5
+        assert launches == [10.0]
     # With the mask off the 10 m grid of steps, only the obstructed beam
     # stops at it; the clear one still walks 50 m in five 10 m steps.
     cfg = validate_config({"grid": {"side": 64}, "obstruction": {"z_m": 15.0},
                            "healing": {"z_samples_m": [50.0]}})
     steps.clear()
+    launches.clear()
     run_scenario(scenario_from_config(cfg, 2, obstructed=False))
     assert steps == [10.0] * 5
+    assert launches == [10.0]
     steps.clear()
+    launches.clear()
     run_scenario(scenario_from_config(cfg, 2, obstructed=True))
     assert steps == [7.5, 7.5] + [8.75] * 4
+    assert launches == [7.5]
 
 
 def test_receive_chain_runs_once_per_channel(monkeypatch, tmp_path):
