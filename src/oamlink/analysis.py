@@ -3,10 +3,13 @@ similarity, and healing curves of obstructed versus clear beams."""
 
 from __future__ import annotations
 
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import propagation
 from .errors import GeometryError, NyquistError
 from .field import FieldSpectrum, ScalarField
 from .propagation import ObstructionMask, apply_mask, propagate_to, sample_points
@@ -124,7 +127,14 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     it the clear beam is carried only if ``keep_clear``; a beam not carried
     is None, as is the obstructed beam when ``mask`` is None.  The walk
     keeps no field it no longer advances, so a caller that wants memory to
-    stay flat must not hold a yielded field while the walk goes on.
+    stay flat must not hold a yielded field while the walk goes on.  The
+    walk never writes ``source`` or a field it has yielded.
+
+    When both beams are carried and the process has at least two cores,
+    each hop steps the obstructed beam on a one-thread pool and the clear
+    beam on the calling thread, each with half the cores for its FFTs; an
+    error on the pool's thread is raised here.  The fields are bit for bit
+    those of stepping the beams one after the other.
     """
     z_planes = list(z_planes)
     if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
@@ -139,12 +149,44 @@ def advance_beams(source: ScalarField | FieldSpectrum,
         if not keep_clear:
             clear = None
         yield mask.z_position, clear, obstructed
+    both = clear is not None and obstructed is not None \
+        and propagation._FFT_WORKERS >= 2
     for z in z_planes:
-        if clear is not None:
-            clear = propagate_to(clear, z, max_step, edge_margin)
-        if obstructed is not None:
-            obstructed = propagate_to(obstructed, z, max_step, edge_margin)
+        if both:
+            clear, obstructed = _step_both(clear, obstructed, z, max_step,
+                                           edge_margin)
+        else:
+            if clear is not None:
+                clear = propagate_to(clear, z, max_step, edge_margin)
+            if obstructed is not None:
+                obstructed = propagate_to(obstructed, z, max_step,
+                                          edge_margin)
         yield z, clear, obstructed
+
+
+@functools.cache
+def _beam_pool() -> ThreadPoolExecutor:
+    """The thread that steps the obstructed beam, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oamlink-beam")
+
+
+def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
+               max_step: float, edge_margin: float):
+    """Both beams at plane ``z``: the obstructed one stepped on the pool's
+    thread while this thread steps the clear one."""
+    workers = propagation._FFT_WORKERS // 2
+
+    def step(beam):
+        with propagation._fft_workers(workers):
+            return propagate_to(beam, z, max_step, edge_margin)
+
+    pending = _beam_pool().submit(step, obstructed)
+    try:
+        clear = step(clear)
+    except BaseException:
+        pending.exception()   # the pool's step ends before this error leaves
+        raise
+    return clear, pending.result()
 
 
 def healing_curve(source: ScalarField | FieldSpectrum, mask: ObstructionMask,

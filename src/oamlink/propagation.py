@@ -8,24 +8,32 @@ components, and clip the transfer function beyond the anti-aliasing band
 limit tied to the step size and grid extent.  Long hops should be split
 into sub-steps (see ``propagate_to``) so the band limit stays generous.
 
-A step costs one forward FFT (``scipy.fft``, complex128), one in-place
-multiply by the transfer function H and one inverse FFT.  A walk that
-starts from a band-limited spectrum (``FieldSpectrum``, e.g. the source
-from ``beams.source_spectrum``) takes its first step as a ``launch``: the
-spectrum's box of bins times H, scattered into an empty grid, and one
-inverse FFT, with no forward FFT.  H depends only on (side, extent,
-wavelength, dz, band_limited), so it is built once per key and kept,
-read-only, in a least-recently-used cache of ``_TRANSFER_CACHE_SIZE`` = 4
-entries: the four hop lengths of the default experiment (10, 1, 4 and
-5 m).  Each entry holds H (``side**2 * 16`` bytes, 16 MiB at 1024^2) and
-its kept-band mask (``side**2`` bytes).  H is even in fx and in fy, so
-the square root and the exponential run on one quadrant of bins and the
-quadrant is mirrored out, with the same bits as a full-grid build.
+A step copies the field into a fresh FFT grid and, in that grid, runs one
+forward FFT (``scipy.fft``, complex128), one multiply by the transfer
+function H and one inverse FFT; the returned field holds the grid.  A
+field passed in is never written.  Every grid is a ``(side, side)`` view
+of a ``(side, side + 8)`` buffer (``_grid``): with a power-of-two row
+stride every sample of a column maps to the same cache sets, and the
+transform along the columns thrashes.  A walk that starts from a
+band-limited spectrum (``FieldSpectrum``, e.g. the source from
+``beams.source_spectrum``) takes its first step as a ``launch``: the
+spectrum's box of bins times H and one inverse FFT, with no forward FFT.
+The inverse along the columns runs only on the box's columns, since every
+other column is zero, and the inverse along the rows on every row.
+
+H depends only on (side, extent, wavelength, dz, band_limited), so it is
+built once per key and kept, read-only, in a least-recently-used cache of
+``_TRANSFER_CACHE_SIZE`` = 4 entries: the four hop lengths of the default
+experiment (10, 1, 4 and 5 m).  H is even in fx and in fy, so an entry
+holds only the quadrant of bins 0..side//2 of H and of its kept-band mask,
+``(side//2 + 1)**2 * 17`` bytes (4.2 MiB at 1024^2); bin i of the grid
+reads row or column ``min(i, side - i)`` of the quadrant (``_unfold``).
 
 Every FFT runs on ``_FFT_WORKERS`` threads: all cores in the process's
 affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
-setting.  pocketfft only splits the independent 1-D transforms across the
-threads, so the output is bit-identical whatever the count.
+setting; a thread can run its own transforms on fewer inside
+``_fft_workers``.  pocketfft only splits the independent 1-D transforms
+across the threads, so the output is bit-identical whatever the count.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +54,32 @@ from .field import FieldSpectrum, ScalarField
 _TRANSFER_CACHE_SIZE = 4
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
+_GRID_PAD = 8
+_THREAD = threading.local()
+
+
+def _workers() -> int:
+    """FFT threads for a transform started on this thread."""
+    return getattr(_THREAD, "fft_workers", None) or _FFT_WORKERS
+
+
+@contextmanager
+def _fft_workers(workers: int):
+    """Run the FFTs this thread starts inside the block on ``workers``
+    threads."""
+    outer = getattr(_THREAD, "fft_workers", None)
+    _THREAD.fft_workers = workers
+    try:
+        yield
+    finally:
+        _THREAD.fft_workers = outer
+
+
+def _grid(side: int, zero: bool = False) -> np.ndarray:
+    """A ``(side, side)`` view of a new ``(side, side + 8)`` complex128
+    buffer, zero-filled if ``zero``."""
+    alloc = np.zeros if zero else np.empty
+    return alloc((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
 def _band_limit(extent: float, wavelength: float, dz: float) -> float:
@@ -59,14 +95,15 @@ def band_limit_frequency(f: ScalarField, dz: float) -> float:
 @functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
 def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
                        band_limited: bool):
-    """Read-only (H, keep) for one step: H = exp(j*2*pi*dz*sqrt(1/lambda^2 -
-    fx^2 - fy^2)) on the kept band, 0 elsewhere; ``keep`` marks the
-    propagating (and, if ``band_limited``, in-band) components.
+    """Read-only quadrants (H, keep) for one step, over bins 0..side//2 of
+    each axis: H = exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the
+    kept band, 0 elsewhere; ``keep`` marks the propagating (and, if
+    ``band_limited``, in-band) components.
 
     Bins i and side - i hold frequencies of opposite sign and equal
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
-    |fx|.  So H is computed on the quadrant of bins 0..side//2 and mirrored
-    out; the result equals the full-grid build element for element."""
+    |fx|.  So ``_unfold`` of a quadrant equals the full-grid build element
+    for element."""
     fx = np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
     fx2 = fx * fx
     kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
@@ -81,23 +118,34 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
     transfer = phase * 1j
     np.exp(transfer, out=transfer)
     transfer *= keep
-    transfer = _unfold(transfer, side)
-    keep = _unfold(keep, side)
     transfer.flags.writeable = False
     keep.flags.writeable = False
     return transfer, keep
 
 
+def _mirror(side: int, h: int):
+    """(grid block, quadrant view) pairs that tile a ``(side, side)`` grid
+    from a quadrant of ``h = side // 2 + 1`` rows and columns: grid
+    ``[i, j]`` reads quadrant ``[min(i, side - i), min(j, side - j)]``."""
+    low, high, back = slice(h), slice(h, side), slice(side - h, 0, -1)
+    every = slice(None)
+    return (((low, low), (every, every)), ((low, high), (every, back)),
+            ((high, low), (back, every)), ((high, high), (back, back)))
+
+
 def _unfold(quadrant: np.ndarray, side: int) -> np.ndarray:
-    """The (side, side) array whose [i, j] is ``quadrant[min(i, side - i),
-    min(j, side - j)]``, for a quadrant of side // 2 + 1 rows and columns."""
-    h = quadrant.shape[0]
-    back = slice(side - h, 0, -1)
+    """The ``(side, side)`` array the quadrant stands for."""
     full = np.empty((side, side), dtype=quadrant.dtype)
-    full[:h, :h] = quadrant
-    full[:h, h:] = quadrant[:, back]
-    full[h:] = full[back]
+    for block, view in _mirror(side, quadrant.shape[0]):
+        full[block] = quadrant[view]
     return full
+
+
+def _multiply_unfolded(grid: np.ndarray, quadrant: np.ndarray) -> None:
+    """``grid *= _unfold(quadrant, side)``, in place, through views of the
+    quadrant."""
+    for block, view in _mirror(grid.shape[0], quadrant.shape[0]):
+        grid[block] *= quadrant[view]
 
 
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
@@ -111,15 +159,17 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
         raise GeometryError("dz must be positive")
     transfer, keep = _transfer_function(field.side, field.extent,
                                         field.wavelength, dz, band_limited)
-    spectrum = fft.fft2(field.samples, workers=_FFT_WORKERS)
+    spectrum = _grid(field.side)
+    spectrum[...] = field.samples
+    spectrum = fft.fft2(spectrum, overwrite_x=True, workers=_workers())
     if max_truncation is not None:
         total = float(np.sum(np.abs(spectrum) ** 2))
-        kept = float(np.sum(np.abs(spectrum[keep]) ** 2))
+        kept = float(np.sum(np.abs(spectrum[_unfold(keep, field.side)]) ** 2))
         if total > 0 and 1.0 - kept / total > max_truncation:
             raise SamplingError(
                 "field angular bandwidth exceeds the grid's representable range")
-    spectrum *= transfer
-    out = fft.ifft2(spectrum, overwrite_x=True, workers=_FFT_WORKERS)
+    _multiply_unfolded(spectrum, transfer)
+    out = fft.ifft2(spectrum, overwrite_x=True, workers=_workers())
     return field.with_samples(out, z=field.z_position + dz)
 
 
@@ -132,8 +182,9 @@ def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
         raise GeometryError("dz must be positive")
     transfer, _ = _transfer_function(spectrum.side, spectrum.extent,
                                      spectrum.wavelength, dz, True)
-    box = np.ix_(spectrum.bins, spectrum.bins)
-    return _inverse(spectrum, spectrum.values * transfer[box], dz)
+    fold = np.minimum(spectrum.bins, spectrum.side - spectrum.bins)
+    return _inverse(spectrum, spectrum.values * transfer[np.ix_(fold, fold)],
+                    dz)
 
 
 def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
@@ -143,9 +194,21 @@ def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
 
 def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
              dz: float) -> ScalarField:
-    grid = np.zeros((spectrum.side, spectrum.side), dtype=np.complex128)
-    grid[np.ix_(spectrum.bins, spectrum.bins)] = values
-    samples = fft.ifft2(grid, overwrite_x=True, workers=_FFT_WORKERS)
+    """The field whose spectrum is ``values`` on the box of ``spectrum``.
+
+    The inverse along axis 0 runs on the box's columns only; the other
+    columns are zero and stay zero.  The inverse along axis 1 then runs on
+    every row of the grid.  ``ifft2`` makes the same two passes in the same
+    order, and its 1/side**2 scale, taken here as 1/side per pass, is a
+    power of two (a ``ScalarField`` side is one), so the samples are bit for
+    bit those of ``ifft2``."""
+    side, bins = spectrum.side, spectrum.bins
+    columns = np.zeros((side, len(bins)), dtype=np.complex128)
+    columns[bins] = values
+    columns = fft.ifft(columns, axis=0, overwrite_x=True, workers=_workers())
+    grid = _grid(side, zero=True)
+    grid[:, bins] = columns
+    samples = fft.ifft(grid, axis=1, overwrite_x=True, workers=_workers())
     return ScalarField(samples=samples, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
                        wavelength=spectrum.wavelength)
@@ -205,10 +268,10 @@ def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
     fx = np.fft.fftfreq(field.side, d=field.spacing)
     fx2 = fx * fx
     f_max = math.sin(theta_max) / field.wavelength
-    spectrum = fft.fft2(field.samples, workers=_FFT_WORKERS)
+    spectrum = fft.fft2(field.samples, workers=_workers())
     spectrum *= fx2[None, :] + fx2[:, None] <= f_max ** 2
     return field.with_samples(fft.ifft2(spectrum, overwrite_x=True,
-                                        workers=_FFT_WORKERS))
+                                        workers=_workers()))
 
 
 @dataclass(frozen=True)
@@ -239,24 +302,48 @@ class ObstructionMask:
         """``transmittance`` at the samples inside the shape, 1 elsewhere.
         Built from the 1-D offsets of the columns (x) and the rows (y)."""
         c = field.coords()
-        dx = c - self.center_x
-        dy = c - self.center_y
+        return self._map(c - self.center_x, c - self.center_y)
+
+    def _spans(self, dx: np.ndarray, dy: np.ndarray):
+        """Which columns (offsets ``dx``) and rows (offsets ``dy``) the shape
+        reaches: every sample inside it lies on both."""
+        if self.shape == "disk":
+            r2 = (self.size[0] / 2.0) ** 2
+            return dx ** 2 <= r2, dy ** 2 <= r2
+        w, h = self.size
+        return np.abs(dx) <= w / 2.0, np.abs(dy) <= h / 2.0
+
+    def _map(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         if self.shape == "disk":
             inside = dx[None, :] ** 2 + dy[:, None] ** 2 \
                 <= (self.size[0] / 2.0) ** 2
         else:
-            w, h = self.size
-            inside = np.outer(np.abs(dy) <= h / 2.0, np.abs(dx) <= w / 2.0)
+            cols, rows = self._spans(dx, dy)
+            inside = np.outer(rows, cols)
         return np.where(inside, self.transmittance, 1.0)
 
 
 def apply_mask(field: ScalarField, mask: ObstructionMask,
                atol: float = 1e-9) -> ScalarField:
-    """Pointwise multiply the field by the mask's transmittance map."""
+    """Pointwise multiply the field by the mask's transmittance map.
+
+    The map is built, and multiplied, only over the box of rows and columns
+    the shape reaches; it is 1 outside.  The rest of the grid is multiplied
+    by 1, not copied: the complex product clears the sign of some zero
+    components (the edge taper leaves exact zeros), and the masked field
+    keeps the bits of the full-map product."""
     if abs(mask.z_position - field.z_position) > atol:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
-    return field.with_samples(field.samples * mask.transmittance_map(field))
+    c = field.coords()
+    dx, dy = c - mask.center_x, c - mask.center_y
+    cols, rows = (np.flatnonzero(span) for span in mask._spans(dx, dy))
+    out = np.multiply(field.samples, 1.0, out=_grid(field.side))
+    if cols.size and rows.size:
+        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        np.multiply(field.samples[box], mask._map(dx[box[1]], dy[box[0]]),
+                    out=out[box])
+    return field.with_samples(out)
 
 
 def sample_points(field: ScalarField, points) -> np.ndarray:

@@ -126,6 +126,8 @@ def validate_config(cfg: dict) -> dict:
         ("grid.theta_max_deg", float), ("grid.max_step_m", float),
         ("grid.edge_margin", float),
         ("obstruction.enabled", bool), ("obstruction.shape", str),
+        ("obstruction.width_m", float), ("obstruction.height_m", float),
+        ("obstruction.center_x_m", float), ("obstruction.center_y_m", float),
         ("obstruction.z_m", float), ("obstruction.transmittance", float),
         ("receiver.num_antennas", int), ("receiver.spacing_m", float),
         ("receiver.theta_deg", float),
@@ -142,11 +144,22 @@ def validate_config(cfg: dict) -> dict:
                 or order == 0 or abs(order) > MAX_ORDER:
             raise ConfigError("modes", f"each order must be a nonzero integer "
                                        f"with |l| <= {MAX_ORDER}, got {order!r}")
-    side = merged["grid"]["side"]
+    if not 0 < merged["link"]["rf_hz"] < math.inf:
+        raise ConfigError("link.rf_hz", "must be positive and finite")
+    grid = merged["grid"]
+    side = grid["side"]
     if side < 64 or side & (side - 1):
         raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
-    if not merged["grid"]["max_step_m"] > 0:
+    if not 0 < grid["extent_m"] < math.inf:
+        raise ConfigError("grid.extent_m", "must be positive and finite")
+    if not grid["max_step_m"] > 0:
         raise ConfigError("grid.max_step_m", "must be positive")
+    if not 0 < grid["theta_max_deg"] < 90:
+        raise ConfigError("grid.theta_max_deg", "must lie in (0, 90) degrees")
+    if not grid["edge_margin"] >= 0:
+        raise ConfigError("grid.edge_margin", "must not be negative")
+    if merged["receiver"]["num_antennas"] < 1:
+        raise ConfigError("receiver.num_antennas", "must be at least 1")
     if merged["rx"]["num_noise_seeds"] < 1:
         raise ConfigError("rx.num_noise_seeds", "must be at least 1")
     snr_db = merged["rx"]["snr_db"]
@@ -167,12 +180,27 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("rx.pilot_symbols",
                           f"must be at least {MIN_PILOT_SYMBOLS}")
     distance = merged["link"]["distance_m"]
-    if merged["obstruction"]["enabled"] and \
-            not 0 < merged["obstruction"]["z_m"] < distance:
-        raise ConfigError("obstruction.z_m", "must lie between the source and "
-                                             "the receiver plane")
-    z_min = merged["obstruction"]["z_m"] if merged["obstruction"]["enabled"] \
-        else 0.0
+    obstruction = merged["obstruction"]
+    if obstruction["enabled"]:
+        if not 0 < obstruction["z_m"] < distance:
+            raise ConfigError("obstruction.z_m", "must lie between the source "
+                                                 "and the receiver plane")
+        if obstruction["shape"] not in ("disk", "rectangle"):
+            raise ConfigError("obstruction.shape", f"must be 'disk' or "
+                              f"'rectangle', got {obstruction['shape']!r}")
+        sizes = ("width_m",) if obstruction["shape"] == "disk" \
+            else ("width_m", "height_m")
+        for name in sizes:
+            if not obstruction[name] > 0:
+                raise ConfigError("obstruction." + name, "must be positive")
+        if not 0 <= obstruction["transmittance"] <= 1:
+            raise ConfigError("obstruction.transmittance",
+                              "must lie in [0, 1]")
+    max_mode = merged["healing"]["max_mode"]
+    if max_mode < max(abs(order) for order in merged["modes"]):
+        raise ConfigError("healing.max_mode", f"must reach the largest |l| "
+                                              f"in modes, got {max_mode}")
+    z_min = obstruction["z_m"] if obstruction["enabled"] else 0.0
     planes = merged["healing"]["z_samples_m"]
     if not planes or any(isinstance(z, bool) or not isinstance(z, (int, float))
                          or not z_min < z <= distance for z in planes) \

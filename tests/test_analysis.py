@@ -1,13 +1,14 @@
 """Azimuthal mode spectra, field similarity and healing curves."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from oamlink import (ObstructionMask, ScalarField, SourceRing,
+from oamlink import (ObstructionMask, ScalarField, SourceRing, analysis,
                      angular_bandlimit, apply_mask, field_similarity,
-                     synthesize_source_field)
+                     propagation, source_spectrum, synthesize_source_field)
 from oamlink.analysis import HealingCurve, azimuthal_spectrum, healing_curve
 from oamlink.errors import GeometryError, NyquistError
 from oamlink.propagation import propagate_to, sample_points
@@ -195,3 +196,63 @@ def test_healing_curve_control_and_validation():
         healing_curve(src, mask, 2, 0.149, [0.4, 1.0])      # before the mask
     curve = healing_curve(src, mask, 2, 0.149, [1.0, 2.0])
     assert all(0.0 <= s <= 1.0 + 1e-12 for s in curve.similarity)
+
+
+def _walk(monkeypatch, cores, source, mask, planes, threads, **kwargs):
+    """Every plane of ``advance_beams`` with the core count set to
+    ``cores``, each field copied as it is yielded; ``threads`` collects the
+    name of the thread of every ``propagate`` call."""
+    real = propagation.propagate
+
+    def recording(field, dz, *args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(field, dz, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+    monkeypatch.setattr(propagation, "propagate", recording)
+    yielded, copies = [], []
+    for z, clear, obst in analysis.advance_beams(source, mask, planes,
+                                                 **kwargs):
+        yielded.append((z, clear, obst))
+        copies.append((z, None if clear is None else clear.samples.copy(),
+                       None if obst is None else obst.samples.copy()))
+    return yielded, copies
+
+
+def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
+    lam = 299792458.0 / 28e9
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    source = source_spectrum(ring, 256, 6.0, lam, math.radians(5.0))
+    values = source.values.copy()
+    mask = ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0)
+    planes = [11.0, 15.0, 30.0]
+    walks = {}
+    for cores in (1, 2, 4):
+        threads = []
+        yielded, copies = _walk(monkeypatch, cores, source, mask, planes,
+                                threads)
+        # the walk wrote neither its source nor a field it had yielded
+        assert np.array_equal(source.values, values)
+        for (z, clear, obst), (_, c, o) in zip(yielded, copies):
+            assert np.array_equal(clear.samples, c)
+            assert np.array_equal(obst.samples, o)
+        on_pool = sum(name.startswith("oamlink-beam") for name in threads)
+        assert on_pool == (0 if cores == 1 else len(threads) // 2)
+        walks[cores] = copies
+    for cores in (2, 4):
+        assert len(walks[cores]) == len(planes) + 1
+        for (z1, c1, o1), (z2, c2, o2) in zip(walks[1], walks[cores]):
+            assert z1 == z2
+            assert np.array_equal(c1, c2)
+            assert np.array_equal(o1, o2)
+
+
+def test_one_beam_stays_on_the_calling_thread(monkeypatch):
+    f = _ring_field(side=128, extent=2.0, ring=0.5)
+    mask = ObstructionMask("disk", 0.0, 0.5, (0.3,), 0.5)
+    for m, keep_clear in ((None, True), (mask, False)):
+        threads = []
+        yielded, _ = _walk(monkeypatch, 2, f, m, [1.0, 2.0], threads,
+                           keep_clear=keep_clear)
+        assert len(threads) == len(yielded)
+        assert not any(name.startswith("oamlink-beam") for name in threads)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing,
                      angular_bandlimit, apply_mask, launch, propagate,
@@ -14,8 +15,8 @@ from oamlink.bessel import first_max_abscissa
 from oamlink.errors import (GeometryError, OutOfExtentError,
                             PlaneMismatchError, SamplingError)
 from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _band_limit,
-                                 _transfer_function, band_limit_frequency,
-                                 propagate_to)
+                                 _transfer_function, _unfold,
+                                 band_limit_frequency, propagate_to)
 
 
 def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
@@ -148,8 +149,8 @@ def test_cached_transfer_matches_formula(band_limited):
             expected = np.fft.ifft2(np.fft.fft2(f.samples) * ref)
             assert np.max(np.abs(g.samples - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
-        transfer, keep = _transfer_function(f.side, f.extent, f.wavelength,
-                                            dz, band_limited)
+        transfer, keep = (_unfold(q, f.side) for q in _transfer_function(
+            f.side, f.extent, f.wavelength, dz, band_limited))
         assert np.array_equal(keep, ref != 0)
         assert np.max(np.abs(transfer - ref)) <= 1e-12
 
@@ -334,11 +335,62 @@ def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
     # 2 mm spacing and a 5 cm step: the band limit (74 /m) lies inside the
     # evanescent cut (93 /m), which lies inside the grid's band (250 /m)
     key = (side, 0.002 * side, 0.0107, 0.05, band_limited)
-    transfer, keep = _transfer_function(*key)
+    transfer, keep = (_unfold(q, side) for q in _transfer_function(*key))
     ref_transfer, ref_keep = _full_grid_transfer(*key)
     assert 100 < np.count_nonzero(keep) < side * side // 4
     assert np.array_equal(keep, ref_keep)
     assert np.array_equal(transfer, ref_transfer)
+
+
+@pytest.mark.parametrize("side", [64, 65, 1024])
+def test_transfer_cache_entry_holds_one_quadrant(side):
+    key = (side, 0.002 * side, 0.0107, 0.05, True)
+    transfer, keep = _transfer_function(*key)
+    assert transfer.shape == keep.shape == (side // 2 + 1, side // 2 + 1)
+    assert transfer.nbytes + keep.nbytes <= (side // 2 + 1) ** 2 * 17
+
+
+def _bits(samples):
+    """The samples' bytes as integers: equal bits, signed zeros included."""
+    return np.ascontiguousarray(samples).view(np.uint64)
+
+
+@pytest.mark.parametrize("side", [64, 1024])
+def test_padded_steps_match_a_contiguous_scipy_reference(side):
+    # the plain transforms on contiguous arrays, as a step ran before the
+    # padded grids, the pruned launch and the box-only mask
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    spectrum = source_spectrum(ring, side, 12.0, lam, theta)
+    values = spectrum.values.copy()
+    launched = launch(spectrum, 10.0)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0, True)[0], side)
+    grid = np.zeros((side, side), dtype=complex)
+    box = np.ix_(spectrum.bins, spectrum.bins)
+    grid[box] = spectrum.values * transfer[box]
+    ref = scipy_fft.ifft2(grid, workers=propagation._workers())
+    assert np.array_equal(_bits(launched.samples), _bits(ref))
+    assert np.array_equal(spectrum.values, values)
+
+    # the edge taper leaves signed zeros on the border for the mask to keep
+    tapered = propagate_to(spectrum, 10.0, edge_margin=0.05)
+    assert np.count_nonzero(np.signbit(tapered.samples[0].imag)) > 0
+    for mask in (ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0),
+                 ObstructionMask("disk", 0.3, 0.2, (0.9,), 10.0, 0.25),
+                 ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0)):
+        before = tapered.samples.copy()
+        masked = apply_mask(tapered, mask)
+        assert np.array_equal(_bits(masked.samples),
+                              _bits(before * mask.transmittance_map(tapered)))
+        assert np.array_equal(_bits(tapered.samples), _bits(before))
+
+    before = masked.samples.copy()
+    stepped = propagate(masked, 4.0)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0, True)[0], side)
+    ref = scipy_fft.fft2(before, workers=propagation._workers()) * transfer
+    ref = scipy_fft.ifft2(ref, workers=propagation._workers())
+    assert np.array_equal(_bits(stepped.samples), _bits(ref))
+    assert np.array_equal(_bits(masked.samples), _bits(before))
 
 
 def test_mask_validation():

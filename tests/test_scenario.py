@@ -98,7 +98,9 @@ def test_obstruction_must_lie_past_the_source(z):
 @pytest.mark.parametrize("modes", [[40], [-17], [2, 0], [2.0], [True]])
 def test_modes_must_be_nonzero_integers_up_to_16(modes):
     assert _config_error_field({"modes": modes}) == "modes"
-    assert validate_config({"modes": [-16, 16]})["modes"] == [-16, 16]
+    # the healing analysis must resolve the largest order too
+    assert validate_config({"modes": [-16, 16], "healing": {"max_mode": 16}}
+                           )["modes"] == [-16, 16]
 
 
 def test_snr_must_not_be_nan():
@@ -168,6 +170,50 @@ def test_z_samples_bound_follows_the_mask():
     assert _config_error_field({"obstruction": {"z_m": 20.0},
                                 "healing": {"z_samples_m": [15.0, 50.0]}}) \
         == "healing.z_samples_m"
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"link": {"rf_hz": 0.0}}, "link.rf_hz"),
+    ({"link": {"rf_hz": float("inf")}}, "link.rf_hz"),
+    ({"healing": {"max_mode": 3}}, "healing.max_mode"),
+    ({"receiver": {"num_antennas": 0}}, "receiver.num_antennas"),
+    ({"grid": {"edge_margin": -0.05}}, "grid.edge_margin"),
+    ({"grid": {"edge_margin": float("nan")}}, "grid.edge_margin"),
+    ({"grid": {"extent_m": 0.0}}, "grid.extent_m"),
+    ({"grid": {"extent_m": -12.0}}, "grid.extent_m"),
+    ({"grid": {"theta_max_deg": 0.0}}, "grid.theta_max_deg"),
+    ({"grid": {"theta_max_deg": 90.0}}, "grid.theta_max_deg"),
+    ({"obstruction": {"shape": "sphere"}}, "obstruction.shape"),
+    ({"obstruction": {"width_m": 0.0}}, "obstruction.width_m"),
+    ({"obstruction": {"height_m": -1.6}}, "obstruction.height_m"),
+    ({"obstruction": {"shape": "disk", "width_m": float("nan")}},
+     "obstruction.width_m"),
+    ({"obstruction": {"transmittance": 1.5}}, "obstruction.transmittance"),
+    ({"obstruction": {"transmittance": -0.1}}, "obstruction.transmittance"),
+])
+def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
+    # each of these used to fail later: a ZeroDivisionError (rf 0), purity
+    # 0.0 at every plane (max_mode below |l| = 4), "channel has zero
+    # magnitude" (no antennas), or an unlabelled GeometryError
+    assert _config_error_field(override) == field
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(override))
+    assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
+                 "--out", str(tmp_path)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_limits_of_the_boundary_checks():
+    assert validate_config({"healing": {"max_mode": 4}})
+    assert validate_config({"grid": {"edge_margin": 0.0}})
+    assert validate_config({"receiver": {"num_antennas": 1}})
+    assert validate_config({"obstruction": {"transmittance": 1.0}})
+    # a disk has no height, and a mask that is off is not checked
+    assert validate_config({"obstruction": {"shape": "disk",
+                                            "height_m": 0.0}})
+    assert validate_config({"obstruction": {"enabled": False,
+                                            "shape": "sphere",
+                                            "width_m": 0.0}})
 
 
 @pytest.mark.parametrize("symbols", [1023, 64, 0, -2048])
@@ -370,6 +416,27 @@ def test_experiment_errors_carry_stage_labels():
     with pytest.raises(OamLinkError) as err:
         run_experiment(cfg)
     assert str(err.value).startswith("[sampling] ")
+
+
+def test_error_on_the_beam_thread_keeps_its_stage_label(monkeypatch):
+    # past the mask the obstructed beam steps on the pool's thread when the
+    # process has two cores; its error reaches the caller labelled
+    import threading
+    from oamlink import propagation
+    from oamlink.errors import SamplingError
+    real = propagation.propagate
+
+    def failing_off_main(field, dz, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise SamplingError("beam thread failed")
+        return real(field, dz, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
+    monkeypatch.setattr(propagation, "propagate", failing_off_main)
+    with pytest.raises(SamplingError) as err:
+        run_experiment(_small_cfg())
+    assert str(err.value) == "[propagation] beam thread failed"
+    assert err.value.stage == "propagation"
 
 
 def test_propagation_steps_per_run(monkeypatch):
