@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .analysis import (HealingCurve, ModeSpectrum, azimuthal_spectrum,
-                       field_similarity, healing_curve)
+                       field_similarity)
 from .beams import (FarFieldPattern, SourceRing, cone_angle, far_field,
                     matched_radius, source_spectrum, synthesize_source_field)
 from .bessel import bessel_j, bessel_j_signed, first_max_abscissa

@@ -1,18 +1,17 @@
 """Structural beam analysis: azimuthal (OAM) spectra on rings, field
-similarity, and healing curves of obstructed versus clear beams."""
+similarity, and the healing curve of an obstructed beam against the clear
+one, one ``HealingCurve.add`` per plane that ``propagation.advance_beams``
+yields."""
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import propagation
 from .errors import GeometryError, NyquistError
-from .field import FieldSpectrum, ScalarField
-from .propagation import ObstructionMask, apply_mask, propagate_to, sample_points
+from .field import ScalarField
+from .propagation import sample_points
 from .wavevector import beam_radius_at
 
 
@@ -111,99 +110,3 @@ def field_similarity(obstructed: ScalarField, clear: ScalarField,
     if nu <= 0 or nv <= 0:
         raise GeometryError("zero field power in the annulus region")
     return float(np.abs(np.sum(u.conj() * v)) ** 2 / (nu * nv))
-
-
-def advance_beams(source: ScalarField | FieldSpectrum,
-                  mask: ObstructionMask | None, z_planes,
-                  max_step: float = 10.0, edge_margin: float = 0.05,
-                  keep_clear: bool = True):
-    """Carry the clear beam from ``source`` and, behind ``mask``, the
-    obstructed beam through the strictly increasing ``z_planes``.  From a
-    spectrum the first step is its launch (``propagate_to``).
-
-    Yields ``(z, clear, obstructed)`` at the mask plane (obstructed is the
-    masked field there), then at each plane of ``z_planes``; all of them
-    must lie beyond the mask.  Both beams share the hop to the mask.  Past
-    it the clear beam is carried only if ``keep_clear``; a beam not carried
-    is None, as is the obstructed beam when ``mask`` is None.  The walk
-    keeps no field it no longer advances, so a caller that wants memory to
-    stay flat must not hold a yielded field while the walk goes on.  The
-    walk never writes ``source`` or a field it has yielded.
-
-    When both beams are carried and the process has at least two cores,
-    each hop steps the obstructed beam on a one-thread pool and the clear
-    beam on the calling thread, each with half the cores for its FFTs; an
-    error on the pool's thread is raised here.  The fields are bit for bit
-    those of stepping the beams one after the other.
-    """
-    z_planes = list(z_planes)
-    if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
-        raise GeometryError("planes must be strictly increasing")
-    if mask is not None and z_planes and z_planes[0] <= mask.z_position:
-        raise GeometryError("all planes must lie beyond the obstruction")
-    clear, obstructed = source, None
-    del source
-    if mask is not None:
-        clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
-        obstructed = apply_mask(clear, mask)
-        if not keep_clear:
-            clear = None
-        yield mask.z_position, clear, obstructed
-    both = clear is not None and obstructed is not None \
-        and propagation._FFT_WORKERS >= 2
-    for z in z_planes:
-        if both:
-            clear, obstructed = _step_both(clear, obstructed, z, max_step,
-                                           edge_margin)
-        else:
-            if clear is not None:
-                clear = propagate_to(clear, z, max_step, edge_margin)
-            if obstructed is not None:
-                obstructed = propagate_to(obstructed, z, max_step,
-                                          edge_margin)
-        yield z, clear, obstructed
-
-
-@functools.cache
-def _beam_pool() -> ThreadPoolExecutor:
-    """The thread that steps the obstructed beam, started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oamlink-beam")
-
-
-def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
-               max_step: float, edge_margin: float):
-    """Both beams at plane ``z``: the obstructed one stepped on the pool's
-    thread while this thread steps the clear one."""
-    workers = propagation._FFT_WORKERS // 2
-
-    def step(beam):
-        with propagation._fft_workers(workers):
-            return propagate_to(beam, z, max_step, edge_margin)
-
-    pending = _beam_pool().submit(step, obstructed)
-    try:
-        clear = step(clear)
-    except BaseException:
-        pending.exception()   # the pool's step ends before this error leaves
-        raise
-    return clear, pending.result()
-
-
-def healing_curve(source: ScalarField | FieldSpectrum, mask: ObstructionMask,
-                  order_l: int, ring_radius: float, z_samples,
-                  max_step: float = 10.0, edge_margin: float = 0.05,
-                  max_mode: int = 8) -> HealingCurve:
-    """Similarity and mode purity of the obstructed beam versus the clear one
-    at each requested plane.
-
-    ``source`` is the field, or its spectrum, at the source plane;
-    ``ring_radius`` the radius of the transmitting ring (sets the per-plane
-    analysis annulus through the conical-spread estimate).  ``mask`` may be
-    None for a control run.
-    """
-    curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
-    for z, clear, obstructed in advance_beams(source, mask, z_samples,
-                                              max_step, edge_margin):
-        if mask is None or z != mask.z_position:
-            curve.add(z, clear, obstructed, order_l, ring_radius, max_mode)
-    return curve

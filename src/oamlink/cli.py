@@ -1,4 +1,5 @@
-"""Command-line interface: plan / simulate / experiment / heal-curve."""
+"""Command-line interface: plan / simulate / experiment.  ``experiment``
+writes the healing curves too (``healing_curve.csv``)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .errors import OamLinkError
 from .field import write_field, write_field_csv
 from .scenario import (default_config, link_plan, run_experiment,
                        run_scenario, scenario_from_config, validate_config,
-                       write_healing_csv, write_report)
+                       write_report)
 
 
 def _load_config(path):
@@ -79,20 +80,6 @@ def cmd_experiment(args):
     print(f"report written to {Path(args.out) / 'report.json'}")
 
 
-def cmd_heal_curve(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
-    cfg["rx"]["num_noise_seeds"] = 1
-    report = run_experiment(cfg, out_dir=None)
-    out = _out_dir(args)
-    write_healing_csv(report, out / "healing_curve.csv")
-    for l, data in sorted(report["modes"].items(), key=lambda kv: int(kv[0])):
-        curve = data["healing_curve"]
-        tail = curve["similarity"][-1]
-        print(f"mode {l}: similarity {curve['similarity'][0]:.3f} @ "
-              f"{curve['z_m'][0]:g} m -> {tail:.3f} @ {curve['z_m'][-1]:g} m")
-    print(f"curve written to {out / 'healing_curve.csv'}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oamlink",
@@ -127,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the clear/obstructed matrix")
     common(p)
     p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("heal-curve", help="healing curves vs distance")
-    common(p)
-    p.set_defaults(func=cmd_heal_curve)
     return parser
 
 

@@ -1,5 +1,6 @@
 """Free-space propagation of sampled scalar fields and of band-limited
-spectra, and obstruction masks.
+spectra, obstruction masks, and the walk of the clear and obstructed beams
+through the analysis planes (``advance_beams``).
 
 Propagation uses the band-limited angular-spectrum method (Matsushima &
 Shimobaba, Opt. Express 17, 19662, 2009): FFT the field, advance every
@@ -34,6 +35,8 @@ affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
 setting; a thread can run its own transforms on fewer inside
 ``_fft_workers``.  pocketfft only splits the independent 1-D transforms
 across the threads, so the output is bit-identical whatever the count.
+With two or more, ``advance_beams`` steps its two beams at once, each on
+half of them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -346,6 +350,75 @@ def apply_mask(field: ScalarField, mask: ObstructionMask,
     return field.with_samples(out)
 
 
+def advance_beams(source: ScalarField | FieldSpectrum,
+                  mask: ObstructionMask | None, z_planes,
+                  max_step: float = 10.0, edge_margin: float = 0.05):
+    """Carry the clear beam from ``source`` and, behind ``mask``, the
+    obstructed beam through the strictly increasing ``z_planes``, which must
+    all lie beyond the mask.  From a spectrum the first step is its launch
+    (``propagate_to``).
+
+    Yields ``(z, clear, obstructed)`` once per plane of ``z_planes``;
+    obstructed is None when ``mask`` is None.  Both beams share the hop to
+    the mask, where the obstructed one is split off.  The walk keeps no
+    field it no longer advances, so a caller that wants memory to stay flat
+    must not hold a yielded field while the walk goes on.  The walk never
+    writes ``source`` or a field it has yielded.
+
+    With a mask and at least two cores, each hop steps the obstructed beam
+    on a one-thread pool and the clear beam on the calling thread, each
+    with half the cores for its FFTs; an error on the pool's thread is
+    raised here.  The fields are bit for bit those of stepping the beams
+    one after the other.
+    """
+    z_planes = list(z_planes)
+    if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
+        raise GeometryError("planes must be strictly increasing")
+    if mask is not None and z_planes and z_planes[0] <= mask.z_position:
+        raise GeometryError("all planes must lie beyond the obstruction")
+    clear, obstructed = source, None
+    del source
+    if mask is not None:
+        clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
+        obstructed = apply_mask(clear, mask)
+    both = obstructed is not None and _FFT_WORKERS >= 2
+    for z in z_planes:
+        if both:
+            clear, obstructed = _step_both(clear, obstructed, z, max_step,
+                                           edge_margin)
+        else:
+            clear = propagate_to(clear, z, max_step, edge_margin)
+            if obstructed is not None:
+                obstructed = propagate_to(obstructed, z, max_step,
+                                          edge_margin)
+        yield z, clear, obstructed
+
+
+@functools.cache
+def _beam_pool() -> ThreadPoolExecutor:
+    """The thread that steps the obstructed beam, started on first use."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oamlink-beam")
+
+
+def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
+               max_step: float, edge_margin: float):
+    """Both beams at plane ``z``: the obstructed one stepped on the pool's
+    thread while this thread steps the clear one."""
+    workers = _FFT_WORKERS // 2
+
+    def step(beam):
+        with _fft_workers(workers):
+            return propagate_to(beam, z, max_step, edge_margin)
+
+    pending = _beam_pool().submit(step, obstructed)
+    try:
+        clear = step(clear)
+    except BaseException:
+        pending.exception()   # the pool's step ends before this error leaves
+        raise
+    return clear, pending.result()
+
+
 def sample_points(field: ScalarField, points) -> np.ndarray:
     """Bilinear interpolation of the complex grid at (x, y) positions."""
     pts = np.asarray(points, dtype=float)
@@ -355,7 +428,8 @@ def sample_points(field: ScalarField, points) -> np.ndarray:
     half = n // 2
     fc = pts[:, 0] / field.spacing + half
     fr = pts[:, 1] / field.spacing + half
-    if np.any(fc < 0) or np.any(fr < 0) or np.any(fc > n - 1) or np.any(fr > n - 1):
+    inside = (fc >= 0) & (fr >= 0) & (fc <= n - 1) & (fr <= n - 1)
+    if not inside.all():   # a NaN point fails every comparison
         raise OutOfExtentError("sample point outside the grid extent")
     c0 = np.minimum(np.floor(fc).astype(int), n - 2)
     r0 = np.minimum(np.floor(fr).astype(int), n - 2)

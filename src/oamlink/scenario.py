@@ -15,14 +15,15 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .analysis import HealingCurve, advance_beams
+from .analysis import HealingCurve
 from .beams import SourceRing, matched_radius, source_spectrum
 from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
 from .field import FieldSpectrum, write_field
 from .link_design import (LinkBudget, compare_with_reference, derive_link,
                           max_beam_radius)
-from .propagation import ObstructionMask, sample_points, spectrum_field
+from .propagation import (ObstructionMask, advance_beams, apply_mask,
+                          propagate_to, sample_points, spectrum_field)
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
                       generate_pilot, noise_sigma, receive)
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
@@ -102,6 +103,11 @@ def _require(cfg: dict, path: str, kind):
     return node
 
 
+def _positive_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and 0 < value < math.inf
+
+
 def validate_config(cfg: dict) -> dict:
     """Fill a user config over the defaults and type-check the result."""
     merged = default_config()
@@ -109,7 +115,7 @@ def validate_config(cfg: dict) -> dict:
     def deep_merge(base, extra, prefix=""):
         for key, value in extra.items():
             if key not in base:
-                raise ConfigError(prefix + key, "unknown field")
+                raise ConfigError(f"{prefix}{key}", "unknown field")
             if isinstance(base[key], dict) and isinstance(value, dict):
                 deep_merge(base[key], value, prefix + key + ".")
             else:
@@ -136,7 +142,21 @@ def validate_config(cfg: dict) -> dict:
         ("rx.num_noise_seeds", int), ("rx.guard_samples", int),
         ("healing.z_samples_m", list), ("healing.max_mode", int),
     ]:
-        _require(merged, path, kind)
+        value = _require(merged, path, kind)
+        # rx.snr_db = +inf is a noiseless run; its other values are checked
+        # with the noise scale below
+        if kind is float and path != "rx.snr_db" and not math.isfinite(value):
+            raise ConfigError(path, f"must be finite, got {value!r}")
+    radii = merged["ring_radii_m"]
+    if not isinstance(radii, dict) or not all(
+            _positive_number(r) for r in radii.values()):
+        raise ConfigError("ring_radii_m", f"must map each order to a positive, "
+                                          f"finite radius in m, got {radii!r}")
+    override = merged["link"]["wavelength_override_m"]
+    if override is not None and not _positive_number(override):
+        raise ConfigError("link.wavelength_override_m",
+                          f"must be null or a positive, finite length in m, "
+                          f"got {override!r}")
     if not merged["modes"]:
         raise ConfigError("modes", "must list at least one OAM order")
     for order in merged["modes"]:
@@ -144,14 +164,14 @@ def validate_config(cfg: dict) -> dict:
                 or order == 0 or abs(order) > MAX_ORDER:
             raise ConfigError("modes", f"each order must be a nonzero integer "
                                        f"with |l| <= {MAX_ORDER}, got {order!r}")
-    if not 0 < merged["link"]["rf_hz"] < math.inf:
-        raise ConfigError("link.rf_hz", "must be positive and finite")
+    if not merged["link"]["rf_hz"] > 0:
+        raise ConfigError("link.rf_hz", "must be positive")
     grid = merged["grid"]
     side = grid["side"]
     if side < 64 or side & (side - 1):
         raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
-    if not 0 < grid["extent_m"] < math.inf:
-        raise ConfigError("grid.extent_m", "must be positive and finite")
+    if not grid["extent_m"] > 0:
+        raise ConfigError("grid.extent_m", "must be positive")
     if not grid["max_step_m"] > 0:
         raise ConfigError("grid.max_step_m", "must be positive")
     if not 0 < grid["theta_max_deg"] < 90:
@@ -314,25 +334,28 @@ def _unit_scale(h: np.ndarray, order_l: int) -> float:
 
 def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     """End-to-end run: the field from the ring to the receiver plane, then
-    the receive chain.  ``keep_fields`` keeps the source, mask-plane and
+    the receive chain.  The one beam is stepped to the mask, through it
+    and on to the receiver; the unmasked field is dropped once the mask is
+    applied.  ``keep_fields`` keeps the source, mask-plane and
     receiver-plane fields in ``fields``."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
-    distance = cfg["link"]["distance_m"]
-    src = _source_spectrum(cfg, s.order_l)
-    fields = {"source": spectrum_field(src)} if keep_fields else {}
-    walk = advance_beams(src, s.obstruction, [distance], grid["max_step_m"],
-                         grid["edge_margin"], keep_clear=False)
-    del src   # the walk drops the source after its launch
+    max_step, margin = grid["max_step_m"], grid["edge_margin"]
+    mask = s.obstruction
+    beam = _source_spectrum(cfg, s.order_l)
+    fields = {"source": spectrum_field(beam)} if keep_fields else {}
     with _stage("propagation"):
-        for z, clear, obstructed in walk:
-            beam = clear if obstructed is None else obstructed
+        if mask is not None:
+            beam = propagate_to(beam, mask.z_position, max_step, margin)
+            beam = apply_mask(beam, mask)
             if keep_fields:
-                name = "receiver_plane" if z == distance \
-                    else "obstruction_plane"
-                fields[name] = beam
+                fields["obstruction_plane"] = beam
+        beam = propagate_to(beam, cfg["link"]["distance_m"], max_step,
+                            margin)
+        if keep_fields:
+            fields["receiver_plane"] = beam
     with _stage("sampling"):
         h_raw = sample_points(beam, rx_positions_from(cfg))
-    label = "obstructed" if s.obstruction is not None else "clear"
+    label = "obstructed" if mask is not None else "clear"
     with _stage("rx_chain"):
         scale = _unit_scale(h_raw, s.order_l) if s.h_scale is None \
             else s.h_scale
@@ -447,10 +470,9 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
     with _stage("propagation"):
         for z, clear, obst in walk:
-            if mask is None or z != mask.z_position:
-                with _stage("sampling"):
-                    curve.add(z, clear, obst, l, radius,
-                              cfg["healing"]["max_mode"])
+            with _stage("sampling"):
+                curve.add(z, clear, obst, l, radius,
+                          cfg["healing"]["max_mode"])
     with _stage("sampling"):
         positions = rx_positions_from(cfg)
         h_clear = sample_points(clear, positions)

@@ -1,4 +1,5 @@
-"""Azimuthal mode spectra, field similarity and healing curves."""
+"""Azimuthal mode spectra, field similarity, healing curves and the walk
+of the clear and obstructed beams."""
 
 import math
 import threading
@@ -6,12 +7,14 @@ import threading
 import numpy as np
 import pytest
 
-from oamlink import (ObstructionMask, ScalarField, SourceRing, analysis,
+from oamlink import (ObstructionMask, ScalarField, SourceRing,
                      angular_bandlimit, apply_mask, field_similarity,
-                     propagation, source_spectrum, synthesize_source_field)
-from oamlink.analysis import HealingCurve, azimuthal_spectrum, healing_curve
+                     propagation, run_scenario, scenario_from_config,
+                     source_spectrum, synthesize_source_field,
+                     validate_config)
+from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
-from oamlink.propagation import propagate_to, sample_points
+from oamlink.propagation import advance_beams, propagate_to, sample_points
 
 
 def _ring_field(side=2048, extent=4.0, ring=1.9, width=0.1, modes=((2, 1.0),),
@@ -177,13 +180,22 @@ def test_similarity_annulus_off_the_grid_has_no_power():
         field_similarity(a, a, (3.0, 3.5))      # past the grid corner
 
 
+def _healing_curve(source, mask, z_samples):
+    """The healing curve of ``source`` past ``mask`` at ``z_samples``, as
+    ``scenario`` builds it for an order-2 ring of radius 0.149 m."""
+    curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
+    for z, clear, obst in advance_beams(source, mask, z_samples):
+        curve.add(z, clear, obst, 2, 0.149)
+    return curve
+
+
 def test_healing_curve_control_and_validation():
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
     src = synthesize_source_field(ring, 256, 3.0, lam)
     src = angular_bandlimit(src, math.radians(5.0))
     # control run without a mask: similarity is identically 1
-    curve = healing_curve(src, None, 2, 0.149, [1.0, 2.0])
+    curve = _healing_curve(src, None, [1.0, 2.0])
     assert isinstance(curve, HealingCurve)
     assert curve.z_values == [1.0, 2.0]
     assert all(s == pytest.approx(1.0, abs=1e-12) for s in curve.similarity)
@@ -191,14 +203,15 @@ def test_healing_curve_control_and_validation():
 
     mask = ObstructionMask("rectangle", 0.0, -0.1, (0.3, 0.2), 0.5)
     with pytest.raises(GeometryError):
-        healing_curve(src, mask, 2, 0.149, [2.0, 1.5])      # not increasing
+        _healing_curve(src, mask, [2.0, 1.5])      # not increasing
     with pytest.raises(GeometryError):
-        healing_curve(src, mask, 2, 0.149, [0.4, 1.0])      # before the mask
-    curve = healing_curve(src, mask, 2, 0.149, [1.0, 2.0])
+        _healing_curve(src, mask, [0.4, 1.0])      # before the mask
+    curve = _healing_curve(src, mask, [1.0, 2.0])
+    assert curve.z_values == [1.0, 2.0]
     assert all(0.0 <= s <= 1.0 + 1e-12 for s in curve.similarity)
 
 
-def _walk(monkeypatch, cores, source, mask, planes, threads, **kwargs):
+def _walk(monkeypatch, cores, source, mask, planes, threads):
     """Every plane of ``advance_beams`` with the core count set to
     ``cores``, each field copied as it is yielded; ``threads`` collects the
     name of the thread of every ``propagate`` call."""
@@ -211,10 +224,9 @@ def _walk(monkeypatch, cores, source, mask, planes, threads, **kwargs):
     monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
     monkeypatch.setattr(propagation, "propagate", recording)
     yielded, copies = [], []
-    for z, clear, obst in analysis.advance_beams(source, mask, planes,
-                                                 **kwargs):
+    for z, clear, obst in advance_beams(source, mask, planes):
         yielded.append((z, clear, obst))
-        copies.append((z, None if clear is None else clear.samples.copy(),
+        copies.append((z, clear.samples.copy(),
                        None if obst is None else obst.samples.copy()))
     return yielded, copies
 
@@ -238,9 +250,9 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
             assert np.array_equal(obst.samples, o)
         on_pool = sum(name.startswith("oamlink-beam") for name in threads)
         assert on_pool == (0 if cores == 1 else len(threads) // 2)
+        assert [z for z, _, _ in copies] == planes   # one yield per plane
         walks[cores] = copies
     for cores in (2, 4):
-        assert len(walks[cores]) == len(planes) + 1
         for (z1, c1, o1), (z2, c2, o2) in zip(walks[1], walks[cores]):
             assert z1 == z2
             assert np.array_equal(c1, c2)
@@ -249,10 +261,15 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
 
 def test_one_beam_stays_on_the_calling_thread(monkeypatch):
     f = _ring_field(side=128, extent=2.0, ring=0.5)
-    mask = ObstructionMask("disk", 0.0, 0.5, (0.3,), 0.5)
-    for m, keep_clear in ((None, True), (mask, False)):
-        threads = []
-        yielded, _ = _walk(monkeypatch, 2, f, m, [1.0, 2.0], threads,
-                           keep_clear=keep_clear)
-        assert len(threads) == len(yielded)
-        assert not any(name.startswith("oamlink-beam") for name in threads)
+    threads = []
+    yielded, _ = _walk(monkeypatch, 2, f, None, [1.0, 2.0], threads)
+    assert len(threads) == len(yielded)
+    assert not any(name.startswith("oamlink-beam") for name in threads)
+    # an obstructed scenario carries its one beam past the mask on the
+    # calling thread too (two cores and the recording propagate still set):
+    # a 10 m launch to the mask, then four 10 m steps to the receiver
+    threads.clear()
+    cfg = validate_config({"grid": {"side": 64}})
+    run_scenario(scenario_from_config(cfg, 2, obstructed=True))
+    assert len(threads) == 4
+    assert not any(name.startswith("oamlink-beam") for name in threads)

@@ -495,3 +495,11 @@ def test_sample_points_bilinear():
                                 rel=1e-12)
     with pytest.raises(OutOfExtentError):
         sample_points(f, [[f.extent, 0.0]])
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan),
+                                   (math.inf, 0.0), (0.0, -math.inf)])
+def test_sample_points_rejects_non_finite_points(point):
+    f = _bandlimited_field()
+    with pytest.raises(OutOfExtentError):
+        sample_points(f, [[0.0, 0.0], point])

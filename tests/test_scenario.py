@@ -49,6 +49,8 @@ def test_unknown_and_mistyped_fields():
         validate_config({"modes": []})
     with pytest.raises(ConfigError):
         validate_config({"obstruction": {"z_m": 60.0}})
+    # a key that is not a string, which only a Python caller can pass
+    assert _config_error_field({"ring_radii_m": {2: 0.1}}) == "ring_radii_m.2"
     try:
         validate_config({"grid": {"side": "big"}})
     except ConfigError as e:
@@ -190,11 +192,26 @@ def test_z_samples_bound_follows_the_mask():
      "obstruction.width_m"),
     ({"obstruction": {"transmittance": 1.5}}, "obstruction.transmittance"),
     ({"obstruction": {"transmittance": -0.1}}, "obstruction.transmittance"),
+    ({"ring_radii_m": 5}, "ring_radii_m"),
+    ({"ring_radii_m": {"2": "abc"}}, "ring_radii_m"),
+    ({"ring_radii_m": {"4": 0.0}}, "ring_radii_m"),
+    ({"ring_radii_m": {"2": float("nan")}}, "ring_radii_m"),
+    ({"link": {"wavelength_override_m": "abc"}}, "link.wavelength_override_m"),
+    ({"link": {"wavelength_override_m": -0.011}},
+     "link.wavelength_override_m"),
+    ({"link": {"wavelength_override_m": float("inf")}},
+     "link.wavelength_override_m"),
+    ({"receiver": {"theta_deg": float("nan")}}, "receiver.theta_deg"),
+    ({"receiver": {"spacing_m": float("nan")}}, "receiver.spacing_m"),
+    ({"obstruction": {"center_x_m": float("nan")}}, "obstruction.center_x_m"),
+    ({"link": {"bandwidth_hz": float("inf")}}, "link.bandwidth_hz"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
     # 0.0 at every plane (max_mode below |l| = 4), "channel has zero
-    # magnitude" (no antennas), or an unlabelled GeometryError
+    # magnitude" (no antennas), an unlabelled GeometryError, a TypeError or
+    # ValueError (ring radii, wavelength), an IndexError (NaN receiver
+    # geometry), or a run with no mask applied (NaN mask centre)
     assert _config_error_field(override) == field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
@@ -362,10 +379,14 @@ def test_cli_experiment_and_heal_curve(tmp_path):
     assert main(["experiment", "--config", str(cfg_path),
                  "--out", str(out)]) == 0
     assert (out / "report.json").exists()
+    rows = (out / "healing_curve.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2    # header, then 2 modes x 2 planes
+    # the healing curves come from ``experiment``; heal-curve is gone
     out2 = tmp_path / "out2"
-    assert main(["heal-curve", "--config", str(cfg_path),
-                 "--out", str(out2)]) == 0
-    assert (out2 / "healing_curve.csv").exists()
+    with pytest.raises(SystemExit) as err:
+        main(["heal-curve", "--config", str(cfg_path), "--out", str(out2)])
+    assert err.value.code == 2
+    assert not out2.exists()
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
