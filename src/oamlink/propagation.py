@@ -9,18 +9,21 @@ components, and clip the transfer function beyond the anti-aliasing band
 limit tied to the step size and grid extent.  Long hops should be split
 into sub-steps (see ``propagate_to``) so the band limit stays generous.
 
-A step copies the field into a fresh FFT grid and, in that grid, runs one
-forward FFT (``scipy.fft``, complex128), one multiply by the transfer
-function H and one inverse FFT; the returned field holds the grid.  A
-field passed in is never written.  Every grid is a ``(side, side)`` view
-of a ``(side, side + 8)`` buffer (``_grid``): with a power-of-two row
-stride every sample of a column maps to the same cache sets, and the
-transform along the columns thrashes.  A walk that starts from a
-band-limited spectrum (``FieldSpectrum``, e.g. the source from
+A step copies the field into a fresh FFT grid and, in that grid, runs the
+forward FFT (``scipy.fft``, complex128), the multiply by the transfer
+function H and the inverse FFT; the returned field holds the grid.  A
+field passed in is never written.  A walk that starts from a band-limited
+spectrum (``FieldSpectrum``, e.g. the source from
 ``beams.source_spectrum``) takes its first step as a ``launch``: the
 spectrum's box of bins times H and one inverse FFT, with no forward FFT.
 The inverse along the columns runs only on the box's columns, since every
 other column is zero, and the inverse along the rows on every row.
+
+Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
+(``_grid``), so a row is an odd number of 64-byte cache lines: side/4 + 3,
+259 at 1024^2.  With an even number of lines the samples of a column map
+to half of the cache sets or fewer (to one with a power-of-two stride),
+and the transforms along the columns thrash.
 
 H depends only on (side, extent, wavelength, dz, band_limited), so it is
 built once per key and kept, read-only, in a least-recently-used cache of
@@ -30,13 +33,19 @@ holds only the quadrant of bins 0..side//2 of H and of its kept-band mask,
 ``(side//2 + 1)**2 * 17`` bytes (4.2 MiB at 1024^2); bin i of the grid
 reads row or column ``min(i, side - i)`` of the quadrant (``_unfold``).
 
-Every FFT runs on ``_FFT_WORKERS`` threads: all cores in the process's
-affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
-setting; a thread can run its own transforms on fewer inside
-``_fft_workers``.  pocketfft only splits the independent 1-D transforms
-across the threads, so the output is bit-identical whatever the count.
-With two or more, ``advance_beams`` steps its two beams at once, each on
-half of them.
+A step uses the cores its thread was given: ``_FFT_WORKERS``, all cores in
+the process's affinity set (``os.sched_getaffinity``, else
+``os.cpu_count()``), with no setting; ``advance_beams`` gives each of its
+two beams half of them (``_given_cores``).  A step runs as passes over the
+grid with a barrier between them: the copy and the forward FFT along the
+columns, the forward FFT along the rows and the multiply by H, the inverse
+FFT along the columns, the inverse along the rows, and the edge taper of
+``propagate_to`` on the rows.  Each pass is split (``_split``) into one
+range of columns or rows per core; the calling thread runs the first and
+helper threads (``_part_pool``, started on first use) the others.  Every
+FFT runs on one thread.  The 1-D transforms are independent and the
+inverse's 1/side per pass is a power of two, so the output is bit for bit
+that of ``ifft2(fft2(field) * H)`` whatever the count.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -58,32 +67,57 @@ from .field import FieldSpectrum, ScalarField
 _TRANSFER_CACHE_SIZE = 4
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-_GRID_PAD = 8
+_GRID_PAD = 12
 _THREAD = threading.local()
 
 
-def _workers() -> int:
-    """FFT threads for a transform started on this thread."""
-    return getattr(_THREAD, "fft_workers", None) or _FFT_WORKERS
+def _cores() -> int:
+    """Cores for a step started on this thread."""
+    return getattr(_THREAD, "cores", None) or _FFT_WORKERS
 
 
 @contextmanager
-def _fft_workers(workers: int):
-    """Run the FFTs this thread starts inside the block on ``workers``
-    threads."""
-    outer = getattr(_THREAD, "fft_workers", None)
-    _THREAD.fft_workers = workers
+def _given_cores(cores: int):
+    """Run the steps this thread starts inside the block on ``cores``
+    cores."""
+    outer = getattr(_THREAD, "cores", None)
+    _THREAD.cores = cores
     try:
         yield
     finally:
-        _THREAD.fft_workers = outer
+        _THREAD.cores = outer
 
 
-def _grid(side: int, zero: bool = False) -> np.ndarray:
-    """A ``(side, side)`` view of a new ``(side, side + 8)`` complex128
-    buffer, zero-filled if ``zero``."""
-    alloc = np.zeros if zero else np.empty
-    return alloc((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
+@functools.cache
+def _part_pool() -> ThreadPoolExecutor:
+    """The helper threads that run all but the first part of a pass, started
+    on first use.  A part never waits on another, so any number of them
+    ends on even one thread."""
+    return ThreadPoolExecutor(max_workers=max(1, _FFT_WORKERS - 1),
+                              thread_name_prefix="oamlink-part")
+
+
+def _split(n: int, work) -> None:
+    """``work(lo, hi)`` over 0..n in one contiguous range per core of this
+    thread (``_cores``): the first range on this thread, the others on the
+    helper pool.  Returns once every part has ended, then raises the first
+    error."""
+    parts = min(_cores(), n)
+    bounds = [n * i // parts for i in range(parts + 1)]
+    pending = [_part_pool().submit(work, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        work(bounds[0], bounds[1])
+    finally:
+        wait(pending)
+    for part in pending:
+        part.result()
+
+
+def _grid(side: int) -> np.ndarray:
+    """A ``(side, side)`` view of a new ``(side, side + 12)`` complex128
+    buffer."""
+    return np.empty((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
 def _band_limit(extent: float, wavelength: float, dz: float) -> float:
@@ -127,29 +161,70 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
     return transfer, keep
 
 
-def _mirror(side: int, h: int):
-    """(grid block, quadrant view) pairs that tile a ``(side, side)`` grid
-    from a quadrant of ``h = side // 2 + 1`` rows and columns: grid
-    ``[i, j]`` reads quadrant ``[min(i, side - i), min(j, side - j)]``."""
-    low, high, back = slice(h), slice(h, side), slice(side - h, 0, -1)
-    every = slice(None)
-    return (((low, low), (every, every)), ((low, high), (every, back)),
-            ((high, low), (back, every)), ((high, high), (back, back)))
+def _mirror(side: int, h: int, lo: int, hi: int):
+    """(grid slice, quadrant slice) pairs that cover indices lo..hi of an
+    axis of a ``(side, side)`` grid from a quadrant of ``h = side // 2 + 1``
+    rows and columns: index i reads quadrant index ``min(i, side - i)``."""
+    pairs = []
+    if lo < min(hi, h):
+        pairs.append((slice(lo, min(hi, h)), slice(lo, min(hi, h))))
+    if max(lo, h) < hi:
+        pairs.append((slice(max(lo, h), hi),
+                      slice(side - max(lo, h), side - hi, -1)))
+    return pairs
 
 
 def _unfold(quadrant: np.ndarray, side: int) -> np.ndarray:
     """The ``(side, side)`` array the quadrant stands for."""
     full = np.empty((side, side), dtype=quadrant.dtype)
-    for block, view in _mirror(side, quadrant.shape[0]):
-        full[block] = quadrant[view]
+    axis = _mirror(side, quadrant.shape[0], 0, side)
+    for rows, from_rows in axis:
+        for cols, from_cols in axis:
+            full[rows, cols] = quadrant[from_rows, from_cols]
     return full
 
 
-def _multiply_unfolded(grid: np.ndarray, quadrant: np.ndarray) -> None:
-    """``grid *= _unfold(quadrant, side)``, in place, through views of the
-    quadrant."""
-    for block, view in _mirror(grid.shape[0], quadrant.shape[0]):
-        grid[block] *= quadrant[view]
+def _multiply_unfolded(grid: np.ndarray, quadrant: np.ndarray, lo: int,
+                       hi: int) -> None:
+    """``grid[lo:hi] *= _unfold(quadrant, side)[lo:hi]``, in place, through
+    views of the quadrant."""
+    side, h = grid.shape[0], quadrant.shape[0]
+    for rows, from_rows in _mirror(side, h, lo, hi):
+        for cols, from_cols in _mirror(side, h, 0, side):
+            grid[rows, cols] *= quadrant[from_rows, from_cols]
+
+
+def _filter(samples: np.ndarray, scale_rows, check=None) -> np.ndarray:
+    """``ifft2(fft2(samples) * S)`` in a new grid, in four passes, each split
+    over this thread's cores: the copy and the forward FFT on column ranges,
+    the forward FFT and ``scale_rows(spectrum, lo, hi)``, which multiplies
+    rows lo..hi by S, on row ranges, then the inverse FFT on column ranges
+    and on row ranges.  ``check(spectrum)``, if given, sees the whole
+    spectrum before any row is scaled, which then takes a pass of its own.
+    ``samples`` is not written."""
+    side = samples.shape[0]
+    grid = _grid(side)
+
+    def forward_columns(lo, hi):
+        columns = grid[:, lo:hi]
+        columns[...] = samples[:, lo:hi]
+        fft.fft(columns, axis=0, overwrite_x=True, workers=1)
+
+    def forward_rows(lo, hi):
+        fft.fft(grid[lo:hi], axis=1, overwrite_x=True, workers=1)
+        if check is None:
+            scale_rows(grid, lo, hi)
+
+    _split(side, forward_columns)
+    _split(side, forward_rows)
+    if check is not None:
+        check(grid)
+        _split(side, lambda lo, hi: scale_rows(grid, lo, hi))
+    _split(side, lambda lo, hi: fft.ifft(grid[:, lo:hi], axis=0,
+                                         overwrite_x=True, workers=1))
+    _split(side, lambda lo, hi: fft.ifft(grid[lo:hi], axis=1,
+                                         overwrite_x=True, workers=1))
+    return grid
 
 
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
@@ -163,17 +238,17 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
         raise GeometryError("dz must be positive")
     transfer, keep = _transfer_function(field.side, field.extent,
                                         field.wavelength, dz, band_limited)
-    spectrum = _grid(field.side)
-    spectrum[...] = field.samples
-    spectrum = fft.fft2(spectrum, overwrite_x=True, workers=_workers())
-    if max_truncation is not None:
+
+    def check(spectrum):
         total = float(np.sum(np.abs(spectrum) ** 2))
         kept = float(np.sum(np.abs(spectrum[_unfold(keep, field.side)]) ** 2))
         if total > 0 and 1.0 - kept / total > max_truncation:
             raise SamplingError(
                 "field angular bandwidth exceeds the grid's representable range")
-    _multiply_unfolded(spectrum, transfer)
-    out = fft.ifft2(spectrum, overwrite_x=True, workers=_workers())
+
+    out = _filter(field.samples,
+                  lambda grid, lo, hi: _multiply_unfolded(grid, transfer, lo, hi),
+                  None if max_truncation is None else check)
     return field.with_samples(out, z=field.z_position + dz)
 
 
@@ -202,18 +277,26 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
 
     The inverse along axis 0 runs on the box's columns only; the other
     columns are zero and stay zero.  The inverse along axis 1 then runs on
-    every row of the grid.  ``ifft2`` makes the same two passes in the same
+    every row of the grid, each row range zero-filled and given its part
+    of the columns first.  ``ifft2`` makes the same two passes in the same
     order, and its 1/side**2 scale, taken here as 1/side per pass, is a
     power of two (a ``ScalarField`` side is one), so the samples are bit for
     bit those of ``ifft2``."""
     side, bins = spectrum.side, spectrum.bins
     columns = np.zeros((side, len(bins)), dtype=np.complex128)
     columns[bins] = values
-    columns = fft.ifft(columns, axis=0, overwrite_x=True, workers=_workers())
-    grid = _grid(side, zero=True)
-    grid[:, bins] = columns
-    samples = fft.ifft(grid, axis=1, overwrite_x=True, workers=_workers())
-    return ScalarField(samples=samples, extent=spectrum.extent,
+    _split(len(bins), lambda lo, hi: fft.ifft(columns[:, lo:hi], axis=0,
+                                              overwrite_x=True, workers=1))
+    grid = _grid(side)
+
+    def rows(lo, hi):
+        block = grid[lo:hi]
+        block[...] = 0
+        block[:, bins] = columns[lo:hi]
+        fft.ifft(block, axis=1, overwrite_x=True, workers=1)
+
+    _split(side, rows)
+    return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
                        wavelength=spectrum.wavelength)
 
@@ -244,8 +327,9 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
 
 def _absorb_edges(samples: np.ndarray, margin: float) -> None:
     """Taper the outer ``margin`` of the grid in place: a raised-cosine ramp
-    along the rows, then along the columns.  The window is 1 inside the
-    margin, so only the border strips are touched."""
+    along the rows, then along the columns, split over row ranges.  The
+    window is 1 inside the margin, so only the border strips are
+    touched."""
     n = samples.shape[0]
     m = max(2, int(margin * n))
     w = np.ones(n)
@@ -253,10 +337,15 @@ def _absorb_edges(samples: np.ndarray, margin: float) -> None:
     w[:m] = ramp
     w[n - m:] = ramp[::-1]
     m = min(m, n // 2)   # strips meet, not overlap, when the margin is wide
-    samples[:m] *= w[:m, None]
-    samples[n - m:] *= w[n - m:, None]
-    samples[:, :m] *= w[:m]
-    samples[:, n - m:] *= w[n - m:]
+
+    def rows(lo, hi):
+        for strip in (slice(lo, min(hi, m)), slice(max(lo, n - m), hi)):
+            samples[strip] *= w[strip, None]
+        block = samples[lo:hi]
+        block[:, :m] *= w[:m]
+        block[:, n - m:] *= w[n - m:]
+
+    _split(n, rows)
 
 
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
@@ -272,10 +361,11 @@ def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
     fx = np.fft.fftfreq(field.side, d=field.spacing)
     fx2 = fx * fx
     f_max = math.sin(theta_max) / field.wavelength
-    spectrum = fft.fft2(field.samples, workers=_workers())
-    spectrum *= fx2[None, :] + fx2[:, None] <= f_max ** 2
-    return field.with_samples(fft.ifft2(spectrum, overwrite_x=True,
-                                        workers=_workers()))
+
+    def cone(grid, lo, hi):
+        grid[lo:hi] *= fx2[None, :] + fx2[lo:hi, None] <= f_max ** 2
+
+    return field.with_samples(_filter(field.samples, cone))
 
 
 @dataclass(frozen=True)
@@ -365,11 +455,11 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     must not hold a yielded field while the walk goes on.  The walk never
     writes ``source`` or a field it has yielded.
 
-    With a mask and at least two cores, each hop steps the obstructed beam
-    on a one-thread pool and the clear beam on the calling thread, each
-    with half the cores for its FFTs; an error on the pool's thread is
-    raised here.  The fields are bit for bit those of stepping the beams
-    one after the other.
+    With a mask and at least two cores on this thread (``_cores``), each
+    hop steps the obstructed beam on a one-thread pool and the clear beam on
+    the calling thread, each with half the cores for its steps; an error on
+    the pool's thread is raised here.  The fields are bit for bit those of
+    stepping the beams one after the other.
     """
     z_planes = list(z_planes)
     if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
@@ -381,11 +471,12 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     if mask is not None:
         clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
         obstructed = apply_mask(clear, mask)
-    both = obstructed is not None and _FFT_WORKERS >= 2
+    cores = _cores()
+    both = obstructed is not None and cores >= 2
     for z in z_planes:
         if both:
             clear, obstructed = _step_both(clear, obstructed, z, max_step,
-                                           edge_margin)
+                                           edge_margin, cores // 2)
         else:
             clear = propagate_to(clear, z, max_step, edge_margin)
             if obstructed is not None:
@@ -401,13 +492,13 @@ def _beam_pool() -> ThreadPoolExecutor:
 
 
 def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
-               max_step: float, edge_margin: float):
-    """Both beams at plane ``z``: the obstructed one stepped on the pool's
-    thread while this thread steps the clear one."""
-    workers = _FFT_WORKERS // 2
+               max_step: float, edge_margin: float, cores: int):
+    """Both beams at plane ``z``, each stepped on ``cores`` cores: the
+    obstructed one from the pool's thread while this thread steps the clear
+    one."""
 
     def step(beam):
-        with _fft_workers(workers):
+        with _given_cores(cores):
             return propagate_to(beam, z, max_step, edge_margin)
 
     pending = _beam_pool().submit(step, obstructed)

@@ -29,6 +29,9 @@ from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
 
 _REFERENCE_RING = (2, 0.149)   # order and radius every unmatched mode scales from
+# The ``ring_radii_m`` keys ``ring_radius_for`` can look up: str(l) for every
+# nonzero order with |l| <= MAX_ORDER.
+_ORDER_KEYS = frozenset(str(l) for l in range(-MAX_ORDER, MAX_ORDER + 1) if l)
 
 
 def default_config() -> dict:
@@ -96,6 +99,8 @@ def _require(cfg: dict, path: str, kind):
         if not isinstance(node, dict) or part not in node:
             raise ConfigError(path, "missing")
         node = node[part]
+    if isinstance(node, bool) and kind is not bool:
+        raise ConfigError(path, f"expected {kind.__name__}, got bool")
     if kind is float and isinstance(node, int):
         node = float(node)
     if not isinstance(node, kind):
@@ -114,9 +119,13 @@ def validate_config(cfg: dict) -> dict:
 
     def deep_merge(base, extra, prefix=""):
         for key, value in extra.items():
-            if key not in base:
+            if prefix == "ring_radii_m." and key not in _ORDER_KEYS:
+                raise ConfigError(f"{prefix}{key}", f"unknown field: an order "
+                                  f"key is a nonzero integer with |l| <= "
+                                  f"{MAX_ORDER}")
+            if key not in base and prefix != "ring_radii_m.":
                 raise ConfigError(f"{prefix}{key}", "unknown field")
-            if isinstance(base[key], dict) and isinstance(value, dict):
+            if isinstance(base.get(key), dict) and isinstance(value, dict):
                 deep_merge(base[key], value, prefix + key + ".")
             else:
                 base[key] = value

@@ -3,9 +3,11 @@ of the clear and obstructed beams."""
 
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import fft as scipy_fft
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing,
                      angular_bandlimit, apply_mask, field_similarity,
@@ -259,17 +261,45 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
             assert np.array_equal(o1, o2)
 
 
+def _record_fft_threads(monkeypatch):
+    """The names of the threads that run ``propagation``'s FFTs, as they
+    run."""
+    names = []
+
+    def recording(transform):
+        def run(*args, **kwargs):
+            names.append(threading.current_thread().name)
+            return transform(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(propagation, "fft", SimpleNamespace(
+        fft=recording(scipy_fft.fft), ifft=recording(scipy_fft.ifft)))
+    return names
+
+
 def test_one_beam_stays_on_the_calling_thread(monkeypatch):
     f = _ring_field(side=128, extent=2.0, ring=0.5)
     threads = []
+    parts = _record_fft_threads(monkeypatch)
     yielded, _ = _walk(monkeypatch, 2, f, None, [1.0, 2.0], threads)
     assert len(threads) == len(yielded)
     assert not any(name.startswith("oamlink-beam") for name in threads)
+    # each step's FFT passes run in two parts, one on the calling thread and
+    # one on the helper pool
+    assert len(parts) == 2 * 4 * len(yielded)
+    assert parts.count(threading.current_thread().name) == len(parts) // 2
+    assert sum(name.startswith("oamlink-part") for name in parts) \
+        == len(parts) // 2
     # an obstructed scenario carries its one beam past the mask on the
     # calling thread too (two cores and the recording propagate still set):
-    # a 10 m launch to the mask, then four 10 m steps to the receiver
+    # a 10 m launch to the mask, then four 10 m steps to the receiver, each
+    # split between this thread and the pool
     threads.clear()
+    parts.clear()
     cfg = validate_config({"grid": {"side": 64}})
     run_scenario(scenario_from_config(cfg, 2, obstructed=True))
     assert len(threads) == 4
     assert not any(name.startswith("oamlink-beam") for name in threads)
+    assert parts.count(threading.current_thread().name) == len(parts) // 2
+    assert sum(name.startswith("oamlink-part") for name in parts) \
+        == len(parts) // 2

@@ -277,17 +277,32 @@ def test_angular_bandlimit():
 
 
 def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
+    # three cores split the grid unevenly (21/21/22 rows at 64^2, 341/341/342
+    # at 1024^2) and the launch's 195-column box (65 each at 1024^2)
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    src = synthesize_source_field(ring, 256, 3.0, 0.010707)
-    spectrum = source_spectrum(ring, 256, 3.0, 0.010707, math.radians(5.0))
-    outputs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(propagation, "_FFT_WORKERS", workers)
-        limited = angular_bandlimit(src, math.radians(5.0))
-        outputs.append((limited.samples, propagate(limited, 10.0).samples,
-                        launch(spectrum, 10.0).samples))
-    for one, two in zip(*outputs):
-        assert np.array_equal(one, two)
+    for side in (64, 1024):
+        src = synthesize_source_field(ring, side, 12.0, lam)
+        spectrum = source_spectrum(ring, side, 12.0, lam, theta)
+        field = launch(spectrum, 10.0)
+        values, samples = spectrum.values.copy(), field.samples.copy()
+        outputs = {}
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+            outputs[cores] = [
+                angular_bandlimit(src, theta).samples,
+                propagate(field, 10.0).samples,
+                propagate(field, 10.0, max_truncation=1.0).samples,
+                launch(spectrum, 10.0).samples,
+                propagate_to(spectrum, 30.0, edge_margin=0.05).samples,
+                propagate_to(field, 14.0, max_step=2.0,
+                             edge_margin=0.6).samples]
+            # the steps wrote none of their inputs
+            assert np.array_equal(spectrum.values, values)
+            assert np.array_equal(field.samples, samples)
+        for cores in (2, 3, 4):
+            for one, many in zip(outputs[1], outputs[cores]):
+                assert np.array_equal(_bits(one), _bits(many))
 
 
 @pytest.mark.parametrize("order", [1, 2, 4, -3])
@@ -368,7 +383,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
     grid = np.zeros((side, side), dtype=complex)
     box = np.ix_(spectrum.bins, spectrum.bins)
     grid[box] = spectrum.values * transfer[box]
-    ref = scipy_fft.ifft2(grid, workers=propagation._workers())
+    ref = scipy_fft.ifft2(grid)
     assert np.array_equal(_bits(launched.samples), _bits(ref))
     assert np.array_equal(spectrum.values, values)
 
@@ -387,10 +402,19 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
     before = masked.samples.copy()
     stepped = propagate(masked, 4.0)
     transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0, True)[0], side)
-    ref = scipy_fft.fft2(before, workers=propagation._workers()) * transfer
-    ref = scipy_fft.ifft2(ref, workers=propagation._workers())
+    ref = scipy_fft.fft2(before) * transfer
+    ref = scipy_fft.ifft2(ref)
     assert np.array_equal(_bits(stepped.samples), _bits(ref))
     assert np.array_equal(_bits(masked.samples), _bits(before))
+
+
+@pytest.mark.parametrize("side", [64, 512, 1024, 2048])
+def test_grid_rows_are_an_odd_number_of_cache_lines(side):
+    # an even count of 64-byte lines maps a column to half the cache sets
+    grid = propagation._grid(side)
+    assert grid.shape == (side, side)
+    assert grid.strides[0] % 64 == 0
+    assert grid.strides[0] // 64 % 2 == 1
 
 
 def test_mask_validation():

@@ -205,6 +205,17 @@ def test_z_samples_bound_follows_the_mask():
     ({"receiver": {"spacing_m": float("nan")}}, "receiver.spacing_m"),
     ({"obstruction": {"center_x_m": float("nan")}}, "obstruction.center_x_m"),
     ({"link": {"bandwidth_hz": float("inf")}}, "link.bandwidth_hz"),
+    # a bool is not a count or a length, although Python takes it as one
+    ({"receiver": {"num_antennas": True}}, "receiver.num_antennas"),
+    ({"rx": {"pilot_seed": False}}, "rx.pilot_seed"),
+    ({"grid": {"side": True}}, "grid.side"),
+    ({"link": {"rf_hz": True}}, "link.rf_hz"),
+    ({"rx": {"snr_db": False}}, "rx.snr_db"),
+    # a ring radius is keyed by an order ring_radius_for can look up
+    ({"ring_radii_m": {"0": 0.2}}, "ring_radii_m.0"),
+    ({"ring_radii_m": {"17": 0.2}}, "ring_radii_m.17"),
+    ({"ring_radii_m": {"03": 0.2}}, "ring_radii_m.03"),
+    ({"ring_radii_m": {"three": 0.2}}, "ring_radii_m.three"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -218,6 +229,15 @@ def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
                  "--out", str(tmp_path)]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_a_ring_radius_for_any_order():
+    cfg = _small_cfg(modes=[3], ring_radii_m={"3": 0.2, "-16": 0.25})
+    assert cfg["ring_radii_m"] == {"2": 0.149, "4": 0.218, "3": 0.2,
+                                   "-16": 0.25}
+    assert ring_radius_for(cfg, 3) == 0.2
+    report = run_experiment(_small_cfg(modes=[3], ring_radii_m={"3": 0.2}))
+    assert report["modes"]["3"]["ring_radius_m"] == 0.2
 
 
 def test_limits_of_the_boundary_checks():
