@@ -9,15 +9,22 @@ components, and clip the transfer function beyond the anti-aliasing band
 limit tied to the step size and grid extent.  Long hops should be split
 into sub-steps (see ``propagate_to``) so the band limit stays generous.
 
-A step copies the field into a fresh FFT grid and, in that grid, runs the
-forward FFT (``scipy.fft``, complex128), the multiply by the transfer
-function H and the inverse FFT; the returned field holds the grid.  A
-field passed in is never written.  A walk that starts from a band-limited
-spectrum (``FieldSpectrum``, e.g. the source from
-``beams.source_spectrum``) takes its first step as a ``launch``: the
-spectrum's box of bins times H and one inverse FFT, with no forward FFT.
-The inverse along the columns runs only on the box's columns, since every
-other column is zero, and the inverse along the rows on every row.
+A step runs, in one grid, the forward FFT (``scipy.fft``, complex128),
+the multiply by the transfer function H and the inverse FFT; the returned
+field holds the grid.  The grid is new, with the field copied into it,
+unless the caller passes ``out``: a step, or ``apply_mask``, given
+``out=field.samples`` runs the same passes in the field's own grid and
+skips the copy, and the field passed in no longer holds its old samples.
+Without ``out`` a field passed in is never written.  ``propagate_to``
+steps in place from its second step on, since those fields are its own,
+and the runners (``advance_beams``, ``scenario.run_scenario``) pass the
+grids they made as ``out``, so a walk holds one grid per beam.  A walk
+that starts from a band-limited spectrum (``FieldSpectrum``, e.g. the
+source from ``beams.source_spectrum``) takes its first step as a
+``launch``: the spectrum's box of bins times H and one inverse FFT, with
+no forward FFT, into a new grid.  The inverse along the columns runs only
+on the box's columns, since every other column is zero, and the inverse
+along the rows on every row.
 
 Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
 (``_grid``), so a row is an odd number of 64-byte cache lines: side/4 + 3,
@@ -37,10 +44,11 @@ A step uses the cores its thread was given: ``_FFT_WORKERS``, all cores in
 the process's affinity set (``os.sched_getaffinity``, else
 ``os.cpu_count()``), with no setting; ``advance_beams`` gives each of its
 two beams half of them (``_given_cores``).  A step runs as passes over the
-grid with a barrier between them: the copy and the forward FFT along the
-columns, the forward FFT along the rows and the multiply by H, the inverse
-FFT along the columns, the inverse along the rows, and the edge taper of
-``propagate_to`` on the rows.  Each pass is split (``_split``) into one
+grid with a barrier between them: the copy, unless the step is in place,
+and the forward FFT along the columns, the forward FFT along the rows and
+the multiply by H, the inverse FFT along the columns, the inverse along the
+rows, and the edge taper of ``propagate_to`` on the rows; the mask's
+multiply is one pass on the rows.  Each pass is split (``_split``) into one
 range of columns or rows per core; the calling thread runs the first and
 helper threads (``_part_pool``, started on first use) the others.  Every
 FFT runs on one thread.  The 1-D transforms are independent and the
@@ -120,6 +128,20 @@ def _grid(side: int) -> np.ndarray:
     return np.empty((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
+def _target(samples: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The grid a pass over ``samples`` writes: a new one, or ``out``, which
+    must be a ``(side, side)`` complex128 array that is ``samples`` itself
+    or shares no memory with it."""
+    if out is None:
+        return _grid(samples.shape[0])
+    if out.shape != samples.shape or out.dtype != np.complex128:
+        raise GeometryError(f"out must be a {samples.shape} complex128 array")
+    if out is not samples and np.may_share_memory(out, samples):
+        raise GeometryError("out must be the field's samples or apart from "
+                            "them")
+    return out
+
+
 def _band_limit(extent: float, wavelength: float, dz: float) -> float:
     dfreq = 1.0 / extent
     return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * wavelength)
@@ -194,20 +216,23 @@ def _multiply_unfolded(grid: np.ndarray, quadrant: np.ndarray, lo: int,
             grid[rows, cols] *= quadrant[from_rows, from_cols]
 
 
-def _filter(samples: np.ndarray, scale_rows, check=None) -> np.ndarray:
-    """``ifft2(fft2(samples) * S)`` in a new grid, in four passes, each split
-    over this thread's cores: the copy and the forward FFT on column ranges,
-    the forward FFT and ``scale_rows(spectrum, lo, hi)``, which multiplies
-    rows lo..hi by S, on row ranges, then the inverse FFT on column ranges
-    and on row ranges.  ``check(spectrum)``, if given, sees the whole
-    spectrum before any row is scaled, which then takes a pass of its own.
-    ``samples`` is not written."""
+def _filter(samples: np.ndarray, scale_rows, check=None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """``ifft2(fft2(samples) * S)`` in ``_target(samples, out)``, in four
+    passes, each split over this thread's cores: the copy, unless the grid
+    is ``samples``, and the forward FFT on column ranges, the forward FFT
+    and ``scale_rows(spectrum, lo, hi)``, which multiplies rows lo..hi by S,
+    on row ranges, then the inverse FFT on column ranges and on row ranges.
+    ``check(spectrum)``, if given, sees the whole spectrum before any row is
+    scaled, which then takes a pass of its own.  Only the grid is
+    written."""
     side = samples.shape[0]
-    grid = _grid(side)
+    grid = _target(samples, out)
 
     def forward_columns(lo, hi):
         columns = grid[:, lo:hi]
-        columns[...] = samples[:, lo:hi]
+        if grid is not samples:
+            columns[...] = samples[:, lo:hi]
         fft.fft(columns, axis=0, overwrite_x=True, workers=1)
 
     def forward_rows(lo, hi):
@@ -227,15 +252,24 @@ def _filter(samples: np.ndarray, scale_rows, check=None) -> np.ndarray:
     return grid
 
 
+def _require_step(dz: float) -> None:
+    if not 0 < dz < math.inf:
+        raise GeometryError(f"dz must be positive and finite, got {dz!r}")
+
+
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
-              max_truncation: float | None = None) -> ScalarField:
+              max_truncation: float | None = None,
+              out: np.ndarray | None = None) -> ScalarField:
     """Field at z + dz via the (band-limited) angular-spectrum method.
 
     ``max_truncation``, if given, raises SamplingError when more than that
     fraction of the spectral power falls outside the retained band.
+
+    The result is written to ``out`` if given, else to a new grid.
+    ``out=field.samples`` steps the field in its own grid; ``out`` holds
+    no field if the step raises.
     """
-    if dz <= 0:
-        raise GeometryError("dz must be positive")
+    _require_step(dz)
     transfer, keep = _transfer_function(field.side, field.extent,
                                         field.wavelength, dz, band_limited)
 
@@ -246,10 +280,10 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
             raise SamplingError(
                 "field angular bandwidth exceeds the grid's representable range")
 
-    out = _filter(field.samples,
-                  lambda grid, lo, hi: _multiply_unfolded(grid, transfer, lo, hi),
-                  None if max_truncation is None else check)
-    return field.with_samples(out, z=field.z_position + dz)
+    grid = _filter(field.samples,
+                   lambda g, lo, hi: _multiply_unfolded(g, transfer, lo, hi),
+                   None if max_truncation is None else check, out)
+    return field.with_samples(grid, z=field.z_position + dz)
 
 
 def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
@@ -257,8 +291,7 @@ def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     times the step's cached (band-limited) H, scattered into an empty grid,
     and one inverse FFT.  It equals ``propagate`` of the spectrum's field,
     without the forward FFT."""
-    if dz <= 0:
-        raise GeometryError("dz must be positive")
+    _require_step(dz)
     transfer, _ = _transfer_function(spectrum.side, spectrum.extent,
                                      spectrum.wavelength, dz, True)
     fold = np.minimum(spectrum.bins, spectrum.side - spectrum.bins)
@@ -302,27 +335,44 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
 
 
 def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
-                 max_step: float = 10.0,
-                 edge_margin: float = 0.0) -> ScalarField:
+                 max_step: float = 10.0, edge_margin: float = 0.0,
+                 out: np.ndarray | None = None) -> ScalarField:
     """Propagate to an absolute plane, splitting into steps of at most
-    ``max_step``.  ``edge_margin`` > 0 applies a soft absorbing taper over
-    that outer fraction of the grid after every step (suppresses wrap-around
-    on long hops at the cost of strict power conservation).  From a
-    ``FieldSpectrum`` the first step is its ``launch``."""
+    ``max_step``.  ``edge_margin`` in [0, 1] applies, if > 0, a soft
+    absorbing taper over that outer fraction of the grid after every step
+    (suppresses wrap-around on long hops at the cost of strict power
+    conservation).  From a ``FieldSpectrum`` the first step is its
+    ``launch``, into a new grid.
+
+    The first step of a ``ScalarField`` writes ``out`` as ``propagate``
+    does; every later step, and the taper, runs in the grid of the step
+    before.  So without ``out`` the field passed in is never written, and
+    with ``out=field.samples`` the steps hold no grid but the field's."""
     dz_total = z_target - field.z_position
-    if dz_total <= 0:
-        raise GeometryError("target plane must lie beyond the current plane")
+    if not 0 < dz_total < math.inf:
+        raise GeometryError("target plane must lie a finite distance beyond "
+                            "the current plane")
+    if not 0 < max_step < math.inf:
+        raise GeometryError(f"max_step must be positive and finite, got "
+                            f"{max_step!r}")
+    if not 0 <= edge_margin <= 1:
+        raise GeometryError(f"edge_margin must lie in [0, 1], got "
+                            f"{edge_margin!r}")
+    if out is not None and isinstance(field, FieldSpectrum):
+        raise GeometryError("a launch from a spectrum writes a new grid; "
+                            "out takes a sampled field's grid")
     n_steps = max(1, math.ceil(dz_total / max_step))
     step = dz_total / n_steps
-    out = field
+    beam = field
     for _ in range(n_steps):
-        if isinstance(out, FieldSpectrum):
-            out = launch(out, step)
+        if isinstance(beam, FieldSpectrum):
+            beam = launch(beam, step)
         else:
-            out = propagate(out, step)
+            beam = propagate(beam, step, out=out)
+        out = beam.samples
         if edge_margin > 0:
-            _absorb_edges(out.samples, edge_margin)
-    return out
+            _absorb_edges(beam.samples, edge_margin)
+    return beam
 
 
 def _absorb_edges(samples: np.ndarray, margin: float) -> None:
@@ -418,26 +468,36 @@ class ObstructionMask:
 
 
 def apply_mask(field: ScalarField, mask: ObstructionMask,
-               atol: float = 1e-9) -> ScalarField:
+               atol: float = 1e-9,
+               out: np.ndarray | None = None) -> ScalarField:
     """Pointwise multiply the field by the mask's transmittance map.
 
     The map is built, and multiplied, only over the box of rows and columns
     the shape reaches; it is 1 outside.  The rest of the grid is multiplied
     by 1, not copied: the complex product clears the sign of some zero
     components (the edge taper leaves exact zeros), and the masked field
-    keeps the bits of the full-map product."""
+    keeps the bits of the full-map product.  That multiply is split over
+    row ranges (``_split``).  The result is written to ``out`` if given,
+    else to a new grid; ``out=field.samples`` masks the field in place."""
     if abs(mask.z_position - field.z_position) > atol:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
+    samples = field.samples
+    grid = _target(samples, out)
     c = field.coords()
     dx, dy = c - mask.center_x, c - mask.center_y
     cols, rows = (np.flatnonzero(span) for span in mask._spans(dx, dy))
-    out = np.multiply(field.samples, 1.0, out=_grid(field.side))
-    if cols.size and rows.size:
-        box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-        np.multiply(field.samples[box], mask._map(dx[box[1]], dy[box[0]]),
-                    out=out[box])
-    return field.with_samples(out)
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)) \
+        if cols.size and rows.size else None
+    # the box's product is taken from the samples before the grid, which may
+    # be the samples, is written
+    product = None if box is None \
+        else samples[box] * mask._map(dx[box[1]], dy[box[0]])
+    _split(field.side, lambda lo, hi: np.multiply(samples[lo:hi], 1.0,
+                                                  out=grid[lo:hi]))
+    if box is not None:
+        grid[box] = product
+    return field.with_samples(grid)
 
 
 def advance_beams(source: ScalarField | FieldSpectrum,
@@ -450,10 +510,11 @@ def advance_beams(source: ScalarField | FieldSpectrum,
 
     Yields ``(z, clear, obstructed)`` once per plane of ``z_planes``;
     obstructed is None when ``mask`` is None.  Both beams share the hop to
-    the mask, where the obstructed one is split off.  The walk keeps no
-    field it no longer advances, so a caller that wants memory to stay flat
-    must not hold a yielded field while the walk goes on.  The walk never
-    writes ``source`` or a field it has yielded.
+    the mask, where the obstructed one is split off as a masked copy.  Each
+    beam then steps in the grid the walk made for it (``out``), so the walk
+    holds one grid per beam, and a yielded field is valid until the walk
+    resumes: the next hop writes its samples.  A caller that wants a plane
+    for longer copies it.  The walk never writes ``source``.
 
     With a mask and at least two cores on this thread (``_cores``), each
     hop steps the obstructed beam on a one-thread pool and the clear beam on
@@ -471,6 +532,7 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     if mask is not None:
         clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
         obstructed = apply_mask(clear, mask)
+    owned = mask is not None   # whether the clear beam is in the walk's grid
     cores = _cores()
     both = obstructed is not None and cores >= 2
     for z in z_planes:
@@ -478,10 +540,12 @@ def advance_beams(source: ScalarField | FieldSpectrum,
             clear, obstructed = _step_both(clear, obstructed, z, max_step,
                                            edge_margin, cores // 2)
         else:
-            clear = propagate_to(clear, z, max_step, edge_margin)
+            clear = propagate_to(clear, z, max_step, edge_margin,
+                                 clear.samples if owned else None)
+            owned = True
             if obstructed is not None:
                 obstructed = propagate_to(obstructed, z, max_step,
-                                          edge_margin)
+                                          edge_margin, obstructed.samples)
         yield z, clear, obstructed
 
 
@@ -493,13 +557,13 @@ def _beam_pool() -> ThreadPoolExecutor:
 
 def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
                max_step: float, edge_margin: float, cores: int):
-    """Both beams at plane ``z``, each stepped on ``cores`` cores: the
-    obstructed one from the pool's thread while this thread steps the clear
-    one."""
+    """Both beams at plane ``z``, each stepped in its own grid on ``cores``
+    cores: the obstructed one from the pool's thread while this thread steps
+    the clear one."""
 
     def step(beam):
         with _given_cores(cores):
-            return propagate_to(beam, z, max_step, edge_margin)
+            return propagate_to(beam, z, max_step, edge_margin, beam.samples)
 
     pending = _beam_pool().submit(step, obstructed)
     try:

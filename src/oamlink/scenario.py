@@ -185,8 +185,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("grid.max_step_m", "must be positive")
     if not 0 < grid["theta_max_deg"] < 90:
         raise ConfigError("grid.theta_max_deg", "must lie in (0, 90) degrees")
-    if not grid["edge_margin"] >= 0:
-        raise ConfigError("grid.edge_margin", "must not be negative")
+    if not 0 <= grid["edge_margin"] <= 1:
+        raise ConfigError("grid.edge_margin", "must lie in [0, 1]")
     if merged["receiver"]["num_antennas"] < 1:
         raise ConfigError("receiver.num_antennas", "must be at least 1")
     if merged["rx"]["num_noise_seeds"] < 1:
@@ -343,10 +343,11 @@ def _unit_scale(h: np.ndarray, order_l: int) -> float:
 
 def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     """End-to-end run: the field from the ring to the receiver plane, then
-    the receive chain.  The one beam is stepped to the mask, through it
-    and on to the receiver; the unmasked field is dropped once the mask is
-    applied.  ``keep_fields`` keeps the source, mask-plane and
-    receiver-plane fields in ``fields``."""
+    the receive chain.  The one beam is launched to the mask, masked and
+    stepped on to the receiver in the one grid its launch made (``out``).
+    ``keep_fields`` keeps the source, mask-plane and receiver-plane fields
+    in ``fields``; the mask-plane field is a copy, since the beam steps on
+    in its grid."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     mask = s.obstruction
@@ -355,11 +356,12 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     with _stage("propagation"):
         if mask is not None:
             beam = propagate_to(beam, mask.z_position, max_step, margin)
-            beam = apply_mask(beam, mask)
+            beam = apply_mask(beam, mask, out=beam.samples)
             if keep_fields:
-                fields["obstruction_plane"] = beam
+                fields["obstruction_plane"] = beam.with_samples(
+                    beam.samples.copy())
         beam = propagate_to(beam, cfg["link"]["distance_m"], max_step,
-                            margin)
+                            margin, None if mask is None else beam.samples)
         if keep_fields:
             fields["receiver_plane"] = beam
     with _stage("sampling"):

@@ -3,6 +3,7 @@ of the clear and obstructed beams."""
 
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,8 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing,
                      validate_config)
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
-from oamlink.propagation import advance_beams, propagate_to, sample_points
+from oamlink.propagation import (advance_beams, propagate_to, sample_points,
+                                 _GRID_PAD)
 
 
 def _ring_field(side=2048, extent=4.0, ring=1.9, width=0.1, modes=((2, 1.0),),
@@ -233,32 +235,69 @@ def _walk(monkeypatch, cores, source, mask, planes, threads):
     return yielded, copies
 
 
-def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
+def _bits(samples):
+    return np.ascontiguousarray(samples).view(np.uint64)
+
+
+def _walk_case(side=256):
     lam = 299792458.0 / 28e9
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    source = source_spectrum(ring, 256, 6.0, lam, math.radians(5.0))
-    values = source.values.copy()
+    source = source_spectrum(ring, side, 6.0, lam, math.radians(5.0))
     mask = ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0)
-    planes = [11.0, 15.0, 30.0]
-    walks = {}
+    return source, mask, [11.0, 15.0, 30.0]
+
+
+def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
+    source, mask, planes = _walk_case()
+    values = source.values.copy()
+    # the reference: public steps, each into a grid of its own
+    clear = propagate_to(source, mask.z_position, 10.0, 0.05)
+    obst = apply_mask(clear, mask)
+    chain = []
+    for z in planes:
+        clear = propagate_to(clear, z, 10.0, 0.05)
+        obst = propagate_to(obst, z, 10.0, 0.05)
+        chain.append((z, clear.samples, obst.samples))
     for cores in (1, 2, 4):
         threads = []
-        yielded, copies = _walk(monkeypatch, cores, source, mask, planes,
-                                threads)
-        # the walk wrote neither its source nor a field it had yielded
-        assert np.array_equal(source.values, values)
-        for (z, clear, obst), (_, c, o) in zip(yielded, copies):
-            assert np.array_equal(clear.samples, c)
-            assert np.array_equal(obst.samples, o)
+        _, copies = _walk(monkeypatch, cores, source, mask, planes, threads)
+        assert np.array_equal(source.values, values)   # never written
         on_pool = sum(name.startswith("oamlink-beam") for name in threads)
         assert on_pool == (0 if cores == 1 else len(threads) // 2)
         assert [z for z, _, _ in copies] == planes   # one yield per plane
-        walks[cores] = copies
-    for cores in (2, 4):
-        for (z1, c1, o1), (z2, c2, o2) in zip(walks[1], walks[cores]):
-            assert z1 == z2
-            assert np.array_equal(c1, c2)
-            assert np.array_equal(o1, o2)
+        for (z, c, o), (z_ref, c_ref, o_ref) in zip(copies, chain):
+            assert z == z_ref
+            assert np.array_equal(_bits(c), _bits(c_ref))
+            assert np.array_equal(_bits(o), _bits(o_ref))
+
+
+def _peak_grids(run, side):
+    """The peak memory a second call of ``run`` allocates, in grids of
+    ``side * (side + _GRID_PAD)`` complex128 samples.  The first call fills
+    the transfer-function cache and starts the helper threads."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (side * (side + _GRID_PAD) * 16)
+
+
+def test_runs_hold_one_grid_per_beam():
+    # each beam steps in the grid the run made for it: the walk holds the
+    # clear and the obstructed beam's grids, not a copy of each per step
+    source, mask, planes = _walk_case()
+
+    def walk():
+        for _ in advance_beams(source, mask, planes):
+            pass
+
+    assert _peak_grids(walk, 256) < 3
+    # the obstructed scenario launches, masks and steps one grid
+    s = scenario_from_config(validate_config({}), 2, obstructed=True)
+    assert _peak_grids(lambda: run_scenario(s), 1024) < 2
 
 
 def _record_fft_threads(monkeypatch):

@@ -285,10 +285,12 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
         src = synthesize_source_field(ring, side, 12.0, lam)
         spectrum = source_spectrum(ring, side, 12.0, lam, theta)
         field = launch(spectrum, 10.0)
+        mask = ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0)
         values, samples = spectrum.values.copy(), field.samples.copy()
         outputs = {}
         for cores in (1, 2, 3, 4):
             monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+            mine = [_own(field) for _ in range(3)]
             outputs[cores] = [
                 angular_bandlimit(src, theta).samples,
                 propagate(field, 10.0).samples,
@@ -296,7 +298,12 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
                 launch(spectrum, 10.0).samples,
                 propagate_to(spectrum, 30.0, edge_margin=0.05).samples,
                 propagate_to(field, 14.0, max_step=2.0,
-                             edge_margin=0.6).samples]
+                             edge_margin=0.6).samples,
+                apply_mask(field, mask).samples,
+                propagate(mine[0], 10.0, out=mine[0].samples).samples,
+                propagate_to(mine[1], 14.0, max_step=2.0, edge_margin=0.6,
+                             out=mine[1].samples).samples,
+                apply_mask(mine[2], mask, out=mine[2].samples).samples]
             # the steps wrote none of their inputs
             assert np.array_equal(spectrum.values, values)
             assert np.array_equal(field.samples, samples)
@@ -368,6 +375,104 @@ def test_transfer_cache_entry_holds_one_quadrant(side):
 def _bits(samples):
     """The samples' bytes as integers: equal bits, signed zeros included."""
     return np.ascontiguousarray(samples).view(np.uint64)
+
+
+def _own(field):
+    """A copy of ``field`` in a padded grid of its own, as a step makes."""
+    grid = propagation._grid(field.side)
+    grid[...] = field.samples
+    return field.with_samples(grid)
+
+
+@pytest.mark.parametrize("side", [64, 1024])
+def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    spectrum = source_spectrum(ring, side, 12.0, lam, theta)
+    # the taper leaves signed zeros on the border, where the second mask's
+    # box reaches; zeros of the other signs go in the first mask's box,
+    # where the product must be taken from the samples as given
+    field = propagate_to(spectrum, 10.0, edge_margin=0.05)
+    r, k = (int(np.argmin(np.abs(field.coords() - v))) for v in (-0.5, 0.0))
+    field.samples[r, k - 2:k + 3].real = [0.0, -0.0, 0.0, -0.0, -0.0]
+    field.samples[r, k - 2:k + 3].imag = [0.0, 0.0, -0.0, -0.0, -1.5]
+    before = field.samples.copy()
+    calls = [lambda f, **out: propagate(f, 4.0, **out),
+             lambda f, **out: propagate(f, 4.0, max_truncation=1.0, **out),
+             lambda f, **out: propagate_to(f, 30.0, edge_margin=0.05, **out)]
+    for mask in (ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0),
+                 ObstructionMask("disk", 5.8, -5.8, (1.0,), 10.0, 0.25),
+                 ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0)):
+        calls.append(lambda f, mask=mask, **out: apply_mask(f, mask, **out))
+        assert np.array_equal(_bits(apply_mask(field, mask).samples),
+                              _bits(before * mask.transmittance_map(field)))
+    for call in calls:
+        ref = call(field).samples
+        # in the field's own grid: no copy, the field's samples replaced
+        mine = _own(field)
+        grid = mine.samples
+        stepped = call(mine, out=grid)
+        assert stepped.samples is grid
+        assert np.array_equal(_bits(grid), _bits(ref))
+        # in a separate grid, the field not written
+        grid = np.empty((side, side), dtype=complex)
+        assert call(field, out=grid).samples is grid
+        assert np.array_equal(_bits(grid), _bits(ref))
+        assert np.array_equal(_bits(field.samples), _bits(before))
+
+
+def test_out_must_be_a_grid_of_the_field_or_apart_from_it():
+    f = _own(_bandlimited_field())
+    mask = ObstructionMask("disk", 0.1, 0.0, (0.2,), 0.0)
+    for out in (np.empty((32, 32), dtype=complex),
+                np.empty((64, 64), dtype=np.complex64),
+                f.samples[::-1],                 # overlaps the samples
+                f.samples.base[:, 1:65]):        # shifted by one column
+        with pytest.raises(GeometryError):
+            propagate(f, 0.5, out=out)
+        with pytest.raises(GeometryError):
+            propagate_to(f, 0.5, out=out)
+        with pytest.raises(GeometryError):
+            apply_mask(f, mask, out=out)
+    # a launch writes a new grid: out takes a sampled field's grid only
+    spectrum = source_spectrum(SourceRing(0.149, 238, 2), 64, 12.0, 0.0107,
+                               math.radians(5.0))
+    with pytest.raises(GeometryError):
+        propagate_to(spectrum, 10.0, out=propagation._grid(64))
+
+
+@pytest.mark.parametrize("dz", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_steps_are_rejected(dz):
+    f = _bandlimited_field()
+    spectrum = source_spectrum(SourceRing(0.149, 238, 2), 64, 12.0, 0.0107,
+                               math.radians(5.0))
+    _transfer_function.cache_clear()
+    with pytest.raises(GeometryError):
+        propagate(f, dz)
+    with pytest.raises(GeometryError):
+        launch(spectrum, dz)
+    # no transfer function was built for the bad step
+    assert _transfer_function.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_step": -10.0},     # was one 40 m step
+    {"max_step": 0.0},       # was a ZeroDivisionError
+    {"max_step": float("nan")},
+    {"max_step": float("inf")},
+    {"edge_margin": -0.05},
+    {"edge_margin": float("nan")},   # was no taper
+    {"edge_margin": 1.5},            # was a ValueError from the taper
+    {"z_target": float("nan")},
+    {"z_target": float("inf")},
+])
+def test_propagate_to_rejects_bad_steps_and_margins(kwargs):
+    f = _bandlimited_field()
+    before = f.samples.copy()
+    kwargs = {"z_target": 40.0, **kwargs}
+    with pytest.raises(GeometryError):
+        propagate_to(f, **kwargs)
+    assert np.array_equal(f.samples, before)
 
 
 @pytest.mark.parametrize("side", [64, 1024])

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from oamlink import (SourceRing, angular_bandlimit, default_config,
-                     run_experiment, run_scenario, scenario_from_config,
+from oamlink import (SourceRing, angular_bandlimit, apply_mask,
+                     default_config, propagate_to, run_experiment,
+                     run_scenario, scenario_from_config, source_spectrum,
                      synthesize_source_field, validate_config)
 from oamlink.cli import main
 from oamlink.errors import ChannelError, ConfigError, OamLinkError
@@ -216,13 +217,16 @@ def test_z_samples_bound_follows_the_mask():
     ({"ring_radii_m": {"17": 0.2}}, "ring_radii_m.17"),
     ({"ring_radii_m": {"03": 0.2}}, "ring_radii_m.03"),
     ({"ring_radii_m": {"three": 0.2}}, "ring_radii_m.three"),
+    # a taper margin past the whole grid
+    ({"grid": {"edge_margin": 1.5}}, "grid.edge_margin"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
     # 0.0 at every plane (max_mode below |l| = 4), "channel has zero
     # magnitude" (no antennas), an unlabelled GeometryError, a TypeError or
     # ValueError (ring radii, wavelength), an IndexError (NaN receiver
-    # geometry), or a run with no mask applied (NaN mask centre)
+    # geometry), a run with no mask applied (NaN mask centre) or a
+    # ValueError from the taper (a margin past the whole grid)
     assert _config_error_field(override) == field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
@@ -243,6 +247,7 @@ def test_a_ring_radius_for_any_order():
 def test_limits_of_the_boundary_checks():
     assert validate_config({"healing": {"max_mode": 4}})
     assert validate_config({"grid": {"edge_margin": 0.0}})
+    assert validate_config({"grid": {"edge_margin": 1.0}})
     assert validate_config({"receiver": {"num_antennas": 1}})
     assert validate_config({"obstruction": {"transmittance": 1.0}})
     # a disk has no height, and a mask that is off is not checked
@@ -314,6 +319,29 @@ def test_source_dump_is_the_band_limited_source():
         <= 1e-12 * np.max(np.abs(ref.samples))
     assert set(result.fields) == {"source", "obstruction_plane",
                                   "receiver_plane"}
+
+
+def test_kept_fields_are_the_planes_of_public_steps():
+    # the run steps one grid to the receiver; the mask plane it keeps is a
+    # copy, equal to the planes of public steps into grids of their own
+    cfg = _small_cfg()
+    result = run_scenario(scenario_from_config(cfg, 2, obstructed=True),
+                          keep_fields=True)
+    ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
+                      num_elements_N=cfg["ring_elements"], order_l=2)
+    grid, mask = cfg["grid"], obstruction_from(cfg)
+    source = source_spectrum(ring, 128, 2.0, wavelength_from(cfg),
+                             math.radians(grid["theta_max_deg"]))
+    masked = apply_mask(propagate_to(source, mask.z_position,
+                                     grid["max_step_m"], grid["edge_margin"]),
+                        mask)
+    received = propagate_to(masked, 50.0, grid["max_step_m"],
+                            grid["edge_margin"])
+    for name, ref in (("obstruction_plane", masked),
+                      ("receiver_plane", received)):
+        kept = result.fields[name]
+        assert kept.z_position == ref.z_position
+        assert np.array_equal(kept.samples, ref.samples)
 
 
 def test_full_blockage_fails_in_rx_stage():
