@@ -98,17 +98,15 @@ def matched_radius(l_target: int, l_ref: int, r_ref: float) -> float:
     return r_ref * first_max_abscissa(l_target) / first_max_abscissa(l_ref)
 
 
-def _splat(ring: SourceRing, side: int, extent: float,
-           continuous: bool) -> tuple:
-    """Bilinear deposit of the ring's elements on a ``side``^2 grid, kept as
-    its bounding block: returns the block's first row, its first column and
-    the block of deposited amplitudes, scaled to a total power of 1."""
+def _splat(ring: SourceRing, side: int, extent: float) -> tuple:
+    """Bilinear deposit of the ring's elements on a ``side``^2 grid: element
+    n sits at azimuth phi_n = 2*pi*n/N with phase exp(j*l*phi_n), spread
+    over the four surrounding grid cells.  Kept as its bounding block:
+    returns the block's first row, its first column and the block of
+    deposited amplitudes, scaled to a total power of 1."""
     if extent < 4.0 * ring.radius_r:
         raise GeometryError("grid extent must be at least 4x the ring radius")
     n_src = ring.num_elements_N
-    if continuous:
-        n_src = max(4096, 64 * abs(ring.order_l), ring.num_elements_N)
-
     phi = 2.0 * np.pi * np.arange(n_src) / n_src
     amp = ring.amplitude * np.exp(1j * ring.order_l * phi)
     xs = ring.radius_r * np.cos(phi)
@@ -140,17 +138,11 @@ def _splat(ring: SourceRing, side: int, extent: float,
 
 
 def synthesize_source_field(ring: SourceRing, side: int, extent: float,
-                            wavelength: float,
-                            continuous: bool = False) -> ScalarField:
-    """Deposit the ring onto a fresh grid at z = 0.
-
-    Each element sits at azimuth phi_n = 2*pi*n/N with phase exp(j*l*phi_n)
-    and is splatted bilinearly onto the four surrounding grid cells.  With
-    ``continuous=True`` a dense quadrature of the ideal continuous ring is
-    deposited instead (useful for discretization-convergence checks).
-    Total power is normalized to 1.
-    """
-    top, left, block = _splat(ring, side, extent, continuous)
+                            wavelength: float) -> ScalarField:
+    """The ring's splat (``_splat``) on a full ``side``^2 grid at z = 0.  No
+    runner calls it: it is the reference the tests hold ``source_spectrum``
+    to, and perfbench's per-layer metrics name it."""
+    top, left, block = _splat(ring, side, extent)
     grid = np.zeros((side, side), dtype=np.complex128)
     grid[top:top + block.shape[0], left:left + block.shape[1]] = block
     return ScalarField(samples=grid, extent=extent, z_position=0.0,
@@ -159,8 +151,9 @@ def synthesize_source_field(ring: SourceRing, side: int, extent: float,
 
 def source_spectrum(ring: SourceRing, side: int, extent: float,
                     wavelength: float, theta_max: float) -> FieldSpectrum:
-    """The spectrum of ``synthesize_source_field``'s grid, band-limited to
-    plane waves within ``theta_max`` (rad) of the axis, at z = 0.
+    """The spectrum of the ring's splat (``_splat``) on a ``side``^2 grid at
+    z = 0, band-limited to plane waves within ``theta_max`` (rad) of the
+    axis.
 
     Only the box of bins with |fx|, |fy| <= sin(theta_max)/lambda is
     computed, as a direct DFT of the splat's bounding block; the bins of the
@@ -171,7 +164,7 @@ def source_spectrum(ring: SourceRing, side: int, extent: float,
     """
     if not 0 < theta_max < np.pi / 2:
         raise GeometryError("theta_max must lie in (0, pi/2)")
-    top, left, block = _splat(ring, side, extent, False)
+    top, left, block = _splat(ring, side, extent)
     fx = np.fft.fftfreq(side, d=extent / side)
     fx2 = fx * fx
     f_max = math.sin(theta_max) / wavelength

@@ -17,10 +17,6 @@ class NyquistError(OamLinkError):
     """Discretization too coarse for the requested azimuthal order."""
 
 
-class SamplingError(OamLinkError):
-    """Field bandwidth exceeds what the grid can represent."""
-
-
 class PlaneMismatchError(OamLinkError):
     """Operands live at different z-planes or on different grids."""
 

@@ -12,6 +12,7 @@ from .errors import GeometryError, PlaneMismatchError
 
 _MAGIC = b"OAMF"
 _VERSION = 1
+_HEADER = struct.Struct("<IIddd")
 
 
 @dataclass
@@ -107,8 +108,8 @@ def write_field(f: ScalarField, path):
     f64 z, f64 wavelength, then row-major complex64 samples."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIddd", _VERSION, f.side, f.spacing,
-                             f.z_position, f.wavelength))
+        fh.write(_HEADER.pack(_VERSION, f.side, f.spacing, f.z_position,
+                              f.wavelength))
         fh.write(f.samples.astype(np.complex64).tobytes())
 
 
@@ -116,11 +117,19 @@ def read_field(path) -> ScalarField:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise GeometryError(f"{path}: not a field snapshot")
-        version, side, spacing, z, lam = struct.unpack("<IIddd", fh.read(32))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise GeometryError(f"{path}: snapshot header cut short")
+        version, side, spacing, z, lam = _HEADER.unpack(header)
         if version != _VERSION:
             raise GeometryError(f"{path}: unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(), dtype=np.complex64)
-    samples = data.reshape(side, side).astype(np.complex128)
+        data = fh.read()
+    expected = side * side * np.dtype(np.complex64).itemsize
+    if len(data) != expected:
+        raise GeometryError(f"{path}: {len(data)} bytes of samples, expected "
+                            f"{expected} for a {side}^2 grid")
+    samples = np.frombuffer(data, dtype=np.complex64).reshape(side, side) \
+        .astype(np.complex128)
     return ScalarField(samples=samples, extent=side * spacing,
                        z_position=z, wavelength=lam)
 

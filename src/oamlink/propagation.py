@@ -38,7 +38,7 @@ built once per key and kept, read-only, in a least-recently-used cache of
 experiment (10, 1, 4 and 5 m).  H is even in fx and in fy, so an entry
 holds only the quadrant of bins 0..side//2 of H and of its kept-band mask,
 ``(side//2 + 1)**2 * 17`` bytes (4.2 MiB at 1024^2); bin i of the grid
-reads row or column ``min(i, side - i)`` of the quadrant (``_unfold``).
+reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
 
 A step uses the cores its thread was given: ``_FFT_WORKERS``, all cores in
 the process's affinity set (``os.sched_getaffinity``, else
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .errors import GeometryError, OutOfExtentError, PlaneMismatchError, SamplingError
+from .errors import GeometryError, OutOfExtentError, PlaneMismatchError
 from .field import FieldSpectrum, ScalarField
 
 _TRANSFER_CACHE_SIZE = 4
@@ -147,11 +147,6 @@ def _band_limit(extent: float, wavelength: float, dz: float) -> float:
     return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * wavelength)
 
 
-def band_limit_frequency(f: ScalarField, dz: float) -> float:
-    """Anti-aliasing limit on |fx| (and |fy|) for one step of length dz."""
-    return _band_limit(f.extent, f.wavelength, dz)
-
-
 @functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
 def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
                        band_limited: bool):
@@ -162,8 +157,8 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
 
     Bins i and side - i hold frequencies of opposite sign and equal
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
-    |fx|.  So ``_unfold`` of a quadrant equals the full-grid build element
-    for element."""
+    |fx|.  So the quadrant, read at ``min(i, side - i)`` on each axis,
+    equals the full-grid build element for element."""
     fx = np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
     fx2 = fx * fx
     kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
@@ -196,37 +191,37 @@ def _mirror(side: int, h: int, lo: int, hi: int):
     return pairs
 
 
-def _unfold(quadrant: np.ndarray, side: int) -> np.ndarray:
-    """The ``(side, side)`` array the quadrant stands for."""
-    full = np.empty((side, side), dtype=quadrant.dtype)
-    axis = _mirror(side, quadrant.shape[0], 0, side)
-    for rows, from_rows in axis:
-        for cols, from_cols in axis:
-            full[rows, cols] = quadrant[from_rows, from_cols]
-    return full
-
-
 def _multiply_unfolded(grid: np.ndarray, quadrant: np.ndarray, lo: int,
                        hi: int) -> None:
-    """``grid[lo:hi] *= _unfold(quadrant, side)[lo:hi]``, in place, through
-    views of the quadrant."""
+    """Rows lo..hi of ``grid`` times those of the ``(side, side)`` array the
+    quadrant stands for, in place, through views of the quadrant."""
     side, h = grid.shape[0], quadrant.shape[0]
     for rows, from_rows in _mirror(side, h, lo, hi):
         for cols, from_cols in _mirror(side, h, 0, side):
             grid[rows, cols] *= quadrant[from_rows, from_cols]
 
 
-def _filter(samples: np.ndarray, scale_rows, check=None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """``ifft2(fft2(samples) * S)`` in ``_target(samples, out)``, in four
-    passes, each split over this thread's cores: the copy, unless the grid
-    is ``samples``, and the forward FFT on column ranges, the forward FFT
-    and ``scale_rows(spectrum, lo, hi)``, which multiplies rows lo..hi by S,
-    on row ranges, then the inverse FFT on column ranges and on row ranges.
-    ``check(spectrum)``, if given, sees the whole spectrum before any row is
-    scaled, which then takes a pass of its own.  Only the grid is
-    written."""
-    side = samples.shape[0]
+def _require_step(dz: float) -> None:
+    if not 0 < dz < math.inf:
+        raise GeometryError(f"dz must be positive and finite, got {dz!r}")
+
+
+def propagate(field: ScalarField, dz: float, band_limited: bool = True,
+              out: np.ndarray | None = None) -> ScalarField:
+    """Field at z + dz via the (band-limited) angular-spectrum method:
+    ``ifft2(fft2(field) * H)`` in four passes, each split over this thread's
+    cores: the copy, unless the step is in place, and the forward FFT on
+    column ranges; the forward FFT and the multiply by H on row ranges; the
+    inverse FFT on column ranges, then on row ranges.
+
+    The result is written to ``out`` if given, else to a new grid.
+    ``out=field.samples`` steps the field in its own grid; ``out`` holds
+    no field if the step raises.
+    """
+    _require_step(dz)
+    transfer, _ = _transfer_function(field.side, field.extent,
+                                     field.wavelength, dz, band_limited)
+    samples = field.samples
     grid = _target(samples, out)
 
     def forward_columns(lo, hi):
@@ -237,52 +232,14 @@ def _filter(samples: np.ndarray, scale_rows, check=None,
 
     def forward_rows(lo, hi):
         fft.fft(grid[lo:hi], axis=1, overwrite_x=True, workers=1)
-        if check is None:
-            scale_rows(grid, lo, hi)
+        _multiply_unfolded(grid, transfer, lo, hi)
 
-    _split(side, forward_columns)
-    _split(side, forward_rows)
-    if check is not None:
-        check(grid)
-        _split(side, lambda lo, hi: scale_rows(grid, lo, hi))
-    _split(side, lambda lo, hi: fft.ifft(grid[:, lo:hi], axis=0,
-                                         overwrite_x=True, workers=1))
-    _split(side, lambda lo, hi: fft.ifft(grid[lo:hi], axis=1,
-                                         overwrite_x=True, workers=1))
-    return grid
-
-
-def _require_step(dz: float) -> None:
-    if not 0 < dz < math.inf:
-        raise GeometryError(f"dz must be positive and finite, got {dz!r}")
-
-
-def propagate(field: ScalarField, dz: float, band_limited: bool = True,
-              max_truncation: float | None = None,
-              out: np.ndarray | None = None) -> ScalarField:
-    """Field at z + dz via the (band-limited) angular-spectrum method.
-
-    ``max_truncation``, if given, raises SamplingError when more than that
-    fraction of the spectral power falls outside the retained band.
-
-    The result is written to ``out`` if given, else to a new grid.
-    ``out=field.samples`` steps the field in its own grid; ``out`` holds
-    no field if the step raises.
-    """
-    _require_step(dz)
-    transfer, keep = _transfer_function(field.side, field.extent,
-                                        field.wavelength, dz, band_limited)
-
-    def check(spectrum):
-        total = float(np.sum(np.abs(spectrum) ** 2))
-        kept = float(np.sum(np.abs(spectrum[_unfold(keep, field.side)]) ** 2))
-        if total > 0 and 1.0 - kept / total > max_truncation:
-            raise SamplingError(
-                "field angular bandwidth exceeds the grid's representable range")
-
-    grid = _filter(field.samples,
-                   lambda g, lo, hi: _multiply_unfolded(g, transfer, lo, hi),
-                   None if max_truncation is None else check, out)
+    _split(field.side, forward_columns)
+    _split(field.side, forward_rows)
+    _split(field.side, lambda lo, hi: fft.ifft(grid[:, lo:hi], axis=0,
+                                               overwrite_x=True, workers=1))
+    _split(field.side, lambda lo, hi: fft.ifft(grid[lo:hi], axis=1,
+                                               overwrite_x=True, workers=1))
     return field.with_samples(grid, z=field.z_position + dz)
 
 
@@ -399,23 +356,17 @@ def _absorb_edges(samples: np.ndarray, margin: float) -> None:
 
 
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
-    """Zero all plane-wave components steeper than ``theta_max`` (rad).
-
-    Keeps a splatted ring source, whose energy spreads across the whole
-    grid band, inside the paraxial cone the simulation cares about.  The
-    runners take that spectrum directly from ``beams.source_spectrum``;
-    this two-FFT form is its full-grid reference.
-    """
+    """Zero all plane-wave components steeper than ``theta_max`` (rad), by
+    two full-grid FFTs.  No runner calls it: it is the reference the tests
+    hold ``beams.source_spectrum`` to, and perfbench's per-layer metrics
+    name it."""
     if not 0 < theta_max < np.pi / 2:
         raise GeometryError("theta_max must lie in (0, pi/2)")
     fx = np.fft.fftfreq(field.side, d=field.spacing)
     fx2 = fx * fx
-    f_max = math.sin(theta_max) / field.wavelength
-
-    def cone(grid, lo, hi):
-        grid[lo:hi] *= fx2[None, :] + fx2[lo:hi, None] <= f_max ** 2
-
-    return field.with_samples(_filter(field.samples, cone))
+    cone = fx2[None, :] + fx2[:, None] \
+        <= (math.sin(theta_max) / field.wavelength) ** 2
+    return field.with_samples(np.fft.ifft2(np.fft.fft2(field.samples) * cone))
 
 
 @dataclass(frozen=True)

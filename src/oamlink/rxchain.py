@@ -122,7 +122,7 @@ def correlate_pilot(stream: np.ndarray, pilot: PilotSignal) -> CorrelationTrace:
     if s.size < p.size:
         raise GeometryError("stream shorter than the pilot")
     n_lags = s.size - p.size + 1
-    # <s[l:l+Np], p> for all lags via FFT correlation
+    # <s[l:l+Np], p> for all lags as a direct sum (np.correlate conjugates p)
     full = np.correlate(s, p, mode="valid")
     energy = np.concatenate([[0.0], np.cumsum(np.abs(s) ** 2)])
     win = energy[p.size:] - energy[:n_lags]

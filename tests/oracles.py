@@ -1,0 +1,46 @@
+"""A direct Rayleigh-Sommerfeld sum, the quadrature reference the tests
+hold the angular-spectrum step to, in plain numpy."""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def analytic_source(X, Y, k):
+    """Smooth compact reference source: tilted offset Gaussian plus a
+    charge-1 vortex, used for the quadrature oracle comparison."""
+    g1 = np.exp(-((X - 0.01) ** 2 + Y ** 2) / (2 * 0.03 ** 2)) \
+        * np.exp(1j * k * 0.02 * X)
+    g2 = (X + 1j * Y) / 0.03 \
+        * np.exp(-(X ** 2 + (Y + 0.015) ** 2) / (2 * 0.025 ** 2))
+    return g1 + 0.5 * g2
+
+
+def rayleigh_sommerfeld_reference(side, extent, lam, dz, fine=128):
+    """Direct quadrature of the first Rayleigh-Sommerfeld integral of the
+    analytic source, evaluated on the coarse target grid.  The source is
+    sampled at ``fine``^2 points; 128 vs 192 agree to 7 digits, so the
+    quadrature is converged far below the comparison tolerance.
+
+    The target spacing is ``fine // side`` source spacings, so every
+    source-to-target offset is a whole number of source spacings on each
+    axis.  The kernel, even in both offsets, is tabulated once on that
+    lattice, and target (i, j) sums the source times the ``fine``^2 window
+    of the table that starts ``fine // side`` rows and columns earlier per
+    step of i and j: an ``einsum`` over strided views of the table, with no
+    FFT and no BLAS."""
+    step = fine // side
+    if step * side != fine:
+        raise ValueError("fine must be a multiple of side")
+    k = 2 * np.pi / lam
+    d = extent / fine
+    cf = (np.arange(fine) - fine // 2) * d
+    XF, YF = np.meshgrid(cf, cf)
+    us = analytic_source(XF, YF, k)
+    # offsets of -(fine - 1)..(fine - 1) spacings; offset n is at n + fine - 1
+    n = np.arange(1 - fine, fine) * d
+    r = np.sqrt(n[None, :] ** 2 + n[:, None] ** 2 + dz * dz)
+    kern = dz * (1 - 1j * k * r) * np.exp(1j * k * r) / (2 * np.pi * r ** 3)
+    # source p sits step*i - p spacings from target i, as far as p - step*i
+    windows = sliding_window_view(kern, (fine, fine))[fine - 1::-step,
+                                                      fine - 1::-step]
+    return np.einsum("ijpm,pm->ij", windows, us) * d * d

@@ -18,8 +18,8 @@ from oamlink.errors import CutoffError
 from oamlink.link_design import REFERENCE_BUDGET
 from oamlink.propagation import propagate_to
 from oamlink.rxchain import evm_percent, to_symbols
-from tests.test_propagation import (_analytic_source, _bandlimited_field,
-                                    rayleigh_sommerfeld_reference)
+from tests.oracles import analytic_source, rayleigh_sommerfeld_reference
+from tests.test_propagation import _bandlimited_field
 
 mp.mp.dps = 30
 
@@ -125,7 +125,7 @@ def test_criterion_5_numerical_engine(verdict):
     side, extent, lam, dz = 64, 0.64, 0.0107, 0.5
     c = (np.arange(side) - side // 2) * (extent / side)
     X, Y = np.meshgrid(c, c)
-    g = ScalarField(_analytic_source(X, Y, 2 * np.pi / lam), extent, 0.0, lam)
+    g = ScalarField(analytic_source(X, Y, 2 * np.pi / lam), extent, 0.0, lam)
     ref = rayleigh_sommerfeld_reference(side, extent, lam, dz)
     asm = propagate(g, dz)
     rs = np.sqrt(np.mean(np.abs(asm.samples - ref) ** 2)

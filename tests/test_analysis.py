@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from oamlink import (ObstructionMask, ScalarField, SourceRing,
-                     angular_bandlimit, apply_mask, field_similarity,
-                     propagation, run_scenario, scenario_from_config,
-                     source_spectrum, synthesize_source_field,
+from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
+                     field_similarity, propagation, run_scenario,
+                     scenario_from_config, source_spectrum, spectrum_field,
                      validate_config)
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
@@ -85,8 +84,8 @@ def test_obstructed_beam_spectrum_matches_overlap_oracle():
     # quadrature (independent summation at a different sample count)
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    f = synthesize_source_field(ring, 512, 12.0, lam)
-    f = angular_bandlimit(f, math.radians(5.0))
+    f = spectrum_field(source_spectrum(ring, 512, 12.0, lam,
+                                       math.radians(5.0)))
     half = ObstructionMask("rectangle", 0.0, -3.0, (12.0, 6.0), 0.0)
     f = apply_mask(f, half)
     g = propagate_to(f, 50.0, max_step=10.0, edge_margin=0.05)
@@ -196,8 +195,8 @@ def _healing_curve(source, mask, z_samples):
 def test_healing_curve_control_and_validation():
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    src = synthesize_source_field(ring, 256, 3.0, lam)
-    src = angular_bandlimit(src, math.radians(5.0))
+    src = spectrum_field(source_spectrum(ring, 256, 3.0, lam,
+                                         math.radians(5.0)))
     # control run without a mask: similarity is identically 1
     curve = _healing_curve(src, None, [1.0, 2.0])
     assert isinstance(curve, HealingCurve)

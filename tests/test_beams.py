@@ -6,11 +6,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oamlink import (FarFieldPattern, SourceRing, angular_bandlimit,
-                     cone_angle, far_field, matched_radius, source_spectrum,
-                     spectrum_field, synthesize_source_field)
+from oamlink import (FarFieldPattern, SourceRing, cone_angle, far_field,
+                     matched_radius, source_spectrum, spectrum_field)
 from oamlink.analysis import azimuthal_spectrum
+from oamlink.beams import synthesize_source_field
 from oamlink.errors import GeometryError, NyquistError
+from oamlink.propagation import angular_bandlimit
 
 mp.mp.dps = 30
 
@@ -104,10 +105,11 @@ def test_synthesized_field_power_and_purity():
 
 def test_synthesis_continuous_converges_to_discrete():
     # 238 elements on the ring are dense enough that the discrete splat is
-    # close to the continuous-ring quadrature
+    # close to a dense quadrature of the continuous ring (4096 elements)
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    dense = SourceRing(radius_r=0.149, num_elements_N=4096, order_l=2)
     fd = synthesize_source_field(ring, 256, 2.0, 0.010707)
-    fc = synthesize_source_field(ring, 256, 2.0, 0.010707, continuous=True)
+    fc = synthesize_source_field(dense, 256, 2.0, 0.010707)
     num = abs(np.vdot(fd.samples, fc.samples)) ** 2
     den = (np.sum(np.abs(fd.samples) ** 2) * np.sum(np.abs(fc.samples) ** 2))
     assert num / den > 0.999

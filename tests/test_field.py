@@ -81,6 +81,14 @@ def test_binary_format_guards(tmp_path):
     path.write_bytes(b"NOPE" + bytes(40))
     with pytest.raises(GeometryError):
         read_field(path)
+    # a snapshot cut short or run long names its path: a short header was a
+    # struct.error, a payload of 4095 or 4097 samples a bare ValueError
+    write_field(_field(), path)
+    whole = path.read_bytes()
+    for data in (whole[:20], whole[:-8], whole[:-3], whole + bytes(8)):
+        path.write_bytes(data)
+        with pytest.raises(GeometryError, match="junk.oamf"):
+            read_field(path)
 
 
 def test_csv_snapshot(tmp_path):

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from scipy import fft as scipy_fft
 
-from oamlink import (ObstructionMask, ScalarField, SourceRing,
-                     angular_bandlimit, apply_mask, launch, propagate,
-                     propagation, sample_points, source_spectrum,
-                     synthesize_source_field)
+from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
+                     launch, propagate, propagation, sample_points,
+                     source_spectrum, spectrum_field)
+from oamlink.beams import synthesize_source_field
 from oamlink.bessel import first_max_abscissa
-from oamlink.errors import (GeometryError, OutOfExtentError,
-                            PlaneMismatchError, SamplingError)
+from oamlink.errors import GeometryError, OutOfExtentError, PlaneMismatchError
 from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _band_limit,
-                                 _transfer_function, _unfold,
-                                 band_limit_frequency, propagate_to)
+                                 _transfer_function, angular_bandlimit,
+                                 propagate_to)
+from tests.oracles import analytic_source, rayleigh_sommerfeld_reference
 
 
 def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
@@ -38,44 +38,12 @@ def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
     return ScalarField(u, extent, 0.0, lam)
 
 
-def _analytic_source(X, Y, k):
-    """Smooth compact reference source: tilted offset Gaussian plus a
-    charge-1 vortex, used for the quadrature oracle comparison."""
-    g1 = np.exp(-((X - 0.01) ** 2 + Y ** 2) / (2 * 0.03 ** 2)) \
-        * np.exp(1j * k * 0.02 * X)
-    g2 = (X + 1j * Y) / 0.03 \
-        * np.exp(-(X ** 2 + (Y + 0.015) ** 2) / (2 * 0.025 ** 2))
-    return g1 + 0.5 * g2
-
-
-def rayleigh_sommerfeld_reference(side, extent, lam, dz, fine=128):
-    """Direct quadrature of the first Rayleigh-Sommerfeld integral of the
-    analytic source, evaluated on the coarse target grid.  The source is
-    sampled at ``fine``^2 points; 128 vs 192 agree to 7 digits, so the
-    quadrature is converged far below the comparison tolerance."""
-    k = 2 * np.pi / lam
-    d = extent / fine
-    cf = (np.arange(fine) - fine // 2) * d
-    XF, YF = np.meshgrid(cf, cf)
-    us = _analytic_source(XF, YF, k).ravel()
-    xs, ys = XF.ravel(), YF.ravel()
-    c = (np.arange(side) - side // 2) * (extent / side)
-    out = np.zeros((side, side), dtype=complex)
-    for i in range(side):
-        dy2 = (c[i] - ys) ** 2
-        for j in range(side):
-            r = np.sqrt((c[j] - xs) ** 2 + dy2 + dz * dz)
-            kern = dz * (1 - 1j * k * r) * np.exp(1j * k * r) / (2 * np.pi * r ** 3)
-            out[i, j] = np.sum(us * kern)
-    return out * d * d
-
-
 def test_matches_rayleigh_sommerfeld_oracle():
     side, extent, lam, dz = 64, 0.64, 0.0107, 0.5
     c = (np.arange(side) - side // 2) * (extent / side)
     X, Y = np.meshgrid(c, c)
     k = 2 * np.pi / lam
-    f = ScalarField(_analytic_source(X, Y, k), extent, 0.0, lam)
+    f = ScalarField(analytic_source(X, Y, k), extent, 0.0, lam)
     asm = propagate(f, dz)
     ref = rayleigh_sommerfeld_reference(side, extent, lam, dz)
     rel_rms = np.sqrt(np.mean(np.abs(asm.samples - ref) ** 2)
@@ -83,6 +51,29 @@ def test_matches_rayleigh_sommerfeld_oracle():
     assert rel_rms <= 1e-3
     # the agreement is far better than the budget; regression-guard it
     assert rel_rms <= 1e-9
+
+
+@pytest.mark.parametrize("fine", [32, 64])
+def test_rayleigh_sommerfeld_oracle_is_the_direct_sum(fine):
+    # the tabulated-kernel oracle against the sum over every source point,
+    # target by target, on a grid small enough to loop over
+    side, extent, lam, dz = 16, 0.64, 0.0107, 0.5
+    k = 2 * np.pi / lam
+    d = extent / fine
+    cf = (np.arange(fine) - fine // 2) * d
+    XF, YF = np.meshgrid(cf, cf)
+    us = analytic_source(XF, YF, k).ravel()
+    xs, ys = XF.ravel(), YF.ravel()
+    c = (np.arange(side) - side // 2) * (extent / side)
+    ref = np.zeros((side, side), dtype=complex)
+    for i in range(side):
+        for j in range(side):
+            r = np.sqrt((c[j] - xs) ** 2 + (c[i] - ys) ** 2 + dz * dz)
+            kern = dz * (1 - 1j * k * r) * np.exp(1j * k * r) \
+                / (2 * np.pi * r ** 3)
+            ref[i, j] = np.sum(us * kern) * d * d
+    fast = rayleigh_sommerfeld_reference(side, extent, lam, dz, fine)
+    assert np.max(np.abs(fast - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_power_conservation():
@@ -124,6 +115,13 @@ def test_zero_distance_rejected_and_z_bookkeeping():
     assert g.z_position == pytest.approx(0.25)
 
 
+def _unfold(quadrant, side):
+    """The ``(side, side)`` array a transfer-function quadrant stands for:
+    bin i of each axis reads quadrant index ``min(i, side - i)``."""
+    fold = np.minimum(np.arange(side), side - np.arange(side))
+    return quadrant[np.ix_(fold, fold)]
+
+
 def _transfer_from_formula(f, dz, band_limited=True):
     """H written out from the module docstring's formula on meshgrid planes."""
     fx = np.fft.fftfreq(f.side, d=f.spacing)
@@ -131,7 +129,7 @@ def _transfer_from_formula(f, dz, band_limited=True):
     kz_sq = 1.0 / f.wavelength ** 2 - FX ** 2 - FY ** 2
     keep = kz_sq > 0
     if band_limited:
-        f_lim = band_limit_frequency(f, dz)
+        f_lim = _band_limit(f.extent, f.wavelength, dz)
         keep &= (np.abs(FX) <= f_lim) & (np.abs(FY) <= f_lim)
     phase = 2 * np.pi * dz * np.sqrt(np.where(keep, kz_sq, 0.0))
     return np.where(keep, np.exp(1j * phase), 0.0)
@@ -202,25 +200,12 @@ def test_band_limit_frequency_formula():
     dz = 2.0
     dfreq = 1.0 / f.extent
     expected = 1.0 / (math.sqrt((2 * dfreq * dz) ** 2 + 1.0) * f.wavelength)
-    assert band_limit_frequency(f, dz) == pytest.approx(expected, rel=1e-14)
+    key = (f.extent, f.wavelength)
+    assert _band_limit(*key, dz) == pytest.approx(expected, rel=1e-14)
     # limit shrinks with step length, approaches 1/lambda for tiny steps
-    assert band_limit_frequency(f, 10.0) < band_limit_frequency(f, 1.0)
-    assert band_limit_frequency(f, 1e-9) == pytest.approx(1.0 / f.wavelength,
-                                                          rel=1e-9)
-
-
-def test_max_truncation_guard():
-    rng = np.random.default_rng(0)
-    side = 64
-    u = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    # 1 mm spacing: the white spectrum reaches far past 1/lambda, so most of
-    # it is evanescent or beyond the anti-aliasing band
-    hot = ScalarField(u, 0.064, 0.0, 0.0107)
-    for _ in range(2):   # the second call reuses the cached transfer function
-        with pytest.raises(SamplingError):
-            propagate(hot, 0.5, max_truncation=0.01)
-    # a compliant field passes with the same guard
-    propagate(_bandlimited_field(), 0.5, max_truncation=0.01)
+    assert _band_limit(*key, 10.0) < _band_limit(*key, 1.0)
+    assert _band_limit(*key, 1e-9) == pytest.approx(1.0 / f.wavelength,
+                                                    rel=1e-9)
 
 
 def test_propagate_to_steps_and_guards():
@@ -282,7 +267,6 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
     lam, theta = 299792458.0 / 28e9, math.radians(5.0)
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
     for side in (64, 1024):
-        src = synthesize_source_field(ring, side, 12.0, lam)
         spectrum = source_spectrum(ring, side, 12.0, lam, theta)
         field = launch(spectrum, 10.0)
         mask = ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0)
@@ -292,9 +276,7 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
             monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
             mine = [_own(field) for _ in range(3)]
             outputs[cores] = [
-                angular_bandlimit(src, theta).samples,
                 propagate(field, 10.0).samples,
-                propagate(field, 10.0, max_truncation=1.0).samples,
                 launch(spectrum, 10.0).samples,
                 propagate_to(spectrum, 30.0, edge_margin=0.05).samples,
                 propagate_to(field, 14.0, max_step=2.0,
@@ -398,7 +380,6 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
     field.samples[r, k - 2:k + 3].imag = [0.0, 0.0, -0.0, -0.0, -1.5]
     before = field.samples.copy()
     calls = [lambda f, **out: propagate(f, 4.0, **out),
-             lambda f, **out: propagate(f, 4.0, max_truncation=1.0, **out),
              lambda f, **out: propagate_to(f, 30.0, edge_margin=0.05, **out)]
     for mask in (ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0),
                  ObstructionMask("disk", 5.8, -5.8, (1.0,), 10.0, 0.25),
@@ -571,8 +552,8 @@ def test_rectangle_shadow_matches_geometric_estimate():
     # blocked power fraction tracks the covered arc fraction of the annulus
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    f = synthesize_source_field(ring, 1024, 12.0, lam)
-    f = angular_bandlimit(f, math.radians(5.0))
+    f = spectrum_field(source_spectrum(ring, 1024, 12.0, lam,
+                                       math.radians(5.0)))
     at10 = propagate_to(f, 10.0, max_step=10.0)
     mask = ObstructionMask("rectangle", 0.0, -0.35, (0.5, 1.0), 10.0)
     blocked_fraction = 1.0 - apply_mask(at10, mask).power() / at10.power()
@@ -594,8 +575,8 @@ def test_annulus_peak_tracks_cone_prediction():
     # 3x-far-field boundary; z=100 m is converged)
     lam = 0.010707
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    f = synthesize_source_field(ring, 1024, 12.0, lam)
-    f = angular_bandlimit(f, math.radians(5.0))
+    f = spectrum_field(source_spectrum(ring, 1024, 12.0, lam,
+                                       math.radians(5.0)))
     pred_angle = math.asin(first_max_abscissa(2) * lam / (2 * math.pi * 0.149))
     for z, tol in ((50.0, 0.05), (100.0, 0.01)):
         g = propagate_to(f, z, max_step=10.0, edge_margin=0.05)

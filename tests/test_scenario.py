@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from oamlink import (SourceRing, angular_bandlimit, apply_mask,
-                     default_config, propagate_to, run_experiment,
-                     run_scenario, scenario_from_config, source_spectrum,
-                     synthesize_source_field, validate_config)
+from oamlink import (SourceRing, apply_mask, default_config, propagate_to,
+                     run_experiment, run_scenario, scenario_from_config,
+                     source_spectrum, validate_config)
+from oamlink.beams import synthesize_source_field
 from oamlink.cli import main
 from oamlink.errors import ChannelError, ConfigError, OamLinkError
+from oamlink.propagation import angular_bandlimit
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               rx_positions_from, wavelength_from)
 
@@ -492,17 +493,17 @@ def test_error_on_the_beam_thread_keeps_its_stage_label(monkeypatch):
     # process has two cores; its error reaches the caller labelled
     import threading
     from oamlink import propagation
-    from oamlink.errors import SamplingError
+    from oamlink.errors import GeometryError
     real = propagation.propagate
 
     def failing_off_main(field, dz, *args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            raise SamplingError("beam thread failed")
+            raise GeometryError("beam thread failed")
         return real(field, dz, *args, **kwargs)
 
     monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
     monkeypatch.setattr(propagation, "propagate", failing_off_main)
-    with pytest.raises(SamplingError) as err:
+    with pytest.raises(GeometryError) as err:
         run_experiment(_small_cfg())
     assert str(err.value) == "[propagation] beam thread failed"
     assert err.value.stage == "propagation"
