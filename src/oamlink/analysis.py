@@ -103,10 +103,13 @@ def field_similarity(obstructed: ScalarField, clear: ScalarField,
     c2 = c2[box]
     rho2 = c2[None, :] + c2[:, None]
     region = (rho2 >= r_in ** 2) & (rho2 <= r_out ** 2)
+    del rho2
     u = obstructed.samples[box, box][region]
     v = clear.samples[box, box][region]
     nu = float(np.sum(np.abs(u) ** 2))
     nv = float(np.sum(np.abs(v) ** 2))
     if nu <= 0 or nv <= 0:
         raise GeometryError("zero field power in the annulus region")
-    return float(np.abs(np.sum(u.conj() * v)) ** 2 / (nu * nv))
+    np.conjugate(u, out=u)   # u is its own copy: u.conj() * v, in place
+    u *= v
+    return float(np.abs(np.sum(u)) ** 2 / (nu * nv))

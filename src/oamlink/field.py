@@ -13,6 +13,7 @@ from .errors import GeometryError, PlaneMismatchError
 _MAGIC = b"OAMF"
 _VERSION = 1
 _HEADER = struct.Struct("<IIddd")
+_WRITE_ROWS = 64
 
 
 @dataclass
@@ -105,12 +106,14 @@ class FieldSpectrum:
 
 def write_field(f: ScalarField, path):
     """Binary snapshot: 4-byte magic, u32 version, u32 side, f64 spacing,
-    f64 z, f64 wavelength, then row-major complex64 samples."""
+    f64 z, f64 wavelength, then row-major complex64 samples, converted and
+    written ``_WRITE_ROWS`` rows at a time."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(_HEADER.pack(_VERSION, f.side, f.spacing, f.z_position,
                               f.wavelength))
-        fh.write(f.samples.astype(np.complex64).tobytes())
+        for lo in range(0, f.side, _WRITE_ROWS):
+            fh.write(f.samples[lo:lo + _WRITE_ROWS].astype(np.complex64))
 
 
 def read_field(path) -> ScalarField:

@@ -22,9 +22,12 @@ grids they made as ``out``, so a walk holds one grid per beam.  A walk
 that starts from a band-limited spectrum (``FieldSpectrum``, e.g. the
 source from ``beams.source_spectrum``) takes its first step as a
 ``launch``: the spectrum's box of bins times H and one inverse FFT, with
-no forward FFT, into a new grid.  The inverse along the columns runs only
-on the box's columns, since every other column is zero, and the inverse
-along the rows on every row.
+no forward FFT, into a new grid.  The launch builds H over its box alone
+(195^2 bins at 1024^2, against the 513^2 of a cached quadrant) and caches
+none.  The inverse (``_inverse``) works in the new grid itself: along the
+columns it runs only on the box's columns, each run of consecutive bins
+in place (a source spectrum's box has two), since every other column is
+zero, and along the rows on every row.
 
 Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
 (``_grid``), so a row is an odd number of 64-byte cache lines: side/4 + 3,
@@ -32,13 +35,16 @@ Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
 to half of the cache sets or fewer (to one with a power-of-two stride),
 and the transforms along the columns thrash.
 
-H depends only on (side, extent, wavelength, dz, band_limited), so it is
-built once per key and kept, read-only, in a least-recently-used cache of
-``_TRANSFER_CACHE_SIZE`` = 4 entries: the four hop lengths of the default
-experiment (10, 1, 4 and 5 m).  H is even in fx and in fy, so an entry
-holds only the quadrant of bins 0..side//2 of H and of its kept-band mask,
-``(side//2 + 1)**2 * 17`` bytes (4.2 MiB at 1024^2); bin i of the grid
+H depends only on (side, extent, wavelength, dz, band_limited), so a step
+builds it once per key and keeps it, read-only, in a least-recently-used
+cache of ``_TRANSFER_CACHE_SIZE`` = 4 entries; the default experiment's
+steps use three (its hops of 1, 4 and 5 m).  H is even in fx and in fy, so
+an entry holds only the quadrant of bins 0..side//2 of H,
+``(side//2 + 1)**2 * 16`` bytes (4.0 MiB at 1024^2); bin i of the grid
 reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
+A build runs ``_BUILD_ROWS`` rows at a time, so its temporaries are one
+block's.  Builds are single-flight: the cache is reached under a lock
+(``_transfer``), so two beams that miss a key at once build it once.
 
 A step uses the cores its thread was given: ``_FFT_WORKERS``, all cores in
 the process's affinity set (``os.sched_getaffinity``, else
@@ -76,6 +82,8 @@ _TRANSFER_CACHE_SIZE = 4
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 _GRID_PAD = 12
+_BUILD_ROWS = 64
+_TRANSFER_LOCK = threading.Lock()
 _THREAD = threading.local()
 
 
@@ -147,35 +155,64 @@ def _band_limit(extent: float, wavelength: float, dz: float) -> float:
     return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * wavelength)
 
 
+def _frequencies(side: int, extent: float) -> np.ndarray:
+    """The FFT frequencies of bins 0..side//2 of an axis."""
+    return np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
+
+
+def _transfer_block(fy: np.ndarray, fx: np.ndarray, wavelength: float,
+                    dz: float, f_lim: float | None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """H at row frequencies ``fy`` and column frequencies ``fx``, written to
+    ``out`` if given, else to a new array, and returned:
+    exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the kept band, 0
+    elsewhere.  The band keeps the propagating components and, unless
+    ``f_lim`` is None, those with |fx|, |fy| <= ``f_lim``.  Each element is
+    the same sequence of operations wherever the block lies, so blocks of a
+    grid equal its one-piece build bit for bit."""
+    fx2, fy2 = fx * fx, fy * fy
+    kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fy2[:, None]
+    keep = kz_sq > 0
+    if f_lim is not None:
+        keep &= (np.abs(fx) <= f_lim)[None, :] & (np.abs(fy) <= f_lim)[:, None]
+    phase = np.maximum(kz_sq, 0.0, out=kz_sq)
+    np.sqrt(phase, out=phase)
+    phase *= 2.0 * np.pi
+    phase *= dz
+    out = np.multiply(phase, 1j, out=out)
+    np.exp(out, out=out)
+    out *= keep
+    return out
+
+
 @functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
 def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
-                       band_limited: bool):
-    """Read-only quadrants (H, keep) for one step, over bins 0..side//2 of
-    each axis: H = exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the
-    kept band, 0 elsewhere; ``keep`` marks the propagating (and, if
-    ``band_limited``, in-band) components.
+                       band_limited: bool) -> np.ndarray:
+    """The read-only quadrant of H for one step, over bins 0..side//2 of
+    each axis (``_transfer_block``), built ``_BUILD_ROWS`` rows at a time.
+    Reach it through ``_transfer``.
 
     Bins i and side - i hold frequencies of opposite sign and equal
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
     |fx|.  So the quadrant, read at ``min(i, side - i)`` on each axis,
     equals the full-grid build element for element."""
-    fx = np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
-    fx2 = fx * fx
-    kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
-    keep = kz_sq > 0
-    if band_limited:
-        in_band = np.abs(fx) <= _band_limit(extent, wavelength, dz)
-        keep &= in_band[None, :] & in_band[:, None]
-    phase = np.maximum(kz_sq, 0.0, out=kz_sq)
-    np.sqrt(phase, out=phase)
-    phase *= 2.0 * np.pi
-    phase *= dz
-    transfer = phase * 1j
-    np.exp(transfer, out=transfer)
-    transfer *= keep
+    fx = _frequencies(side, extent)
+    f_lim = _band_limit(extent, wavelength, dz) if band_limited else None
+    transfer = np.empty((len(fx), len(fx)), dtype=np.complex128)
+    for lo in range(0, len(fx), _BUILD_ROWS):
+        rows = slice(lo, lo + _BUILD_ROWS)
+        _transfer_block(fx[rows], fx, wavelength, dz, f_lim, transfer[rows])
     transfer.flags.writeable = False
-    keep.flags.writeable = False
-    return transfer, keep
+    return transfer
+
+
+def _transfer(side: int, extent: float, wavelength: float, dz: float,
+              band_limited: bool) -> np.ndarray:
+    """The cached quadrant of H for one step.  Threads that miss a key at
+    the same time build it once: the first builds, the others wait for it
+    and hit."""
+    with _TRANSFER_LOCK:
+        return _transfer_function(side, extent, wavelength, dz, band_limited)
 
 
 def _mirror(side: int, h: int, lo: int, hi: int):
@@ -219,8 +256,8 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
     no field if the step raises.
     """
     _require_step(dz)
-    transfer, _ = _transfer_function(field.side, field.extent,
-                                     field.wavelength, dz, band_limited)
+    transfer = _transfer(field.side, field.extent, field.wavelength, dz,
+                         band_limited)
     samples = field.samples
     grid = _target(samples, out)
 
@@ -245,15 +282,19 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
 
 def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     """Field at z + dz of a field given by its band-limited spectrum: the box
-    times the step's cached (band-limited) H, scattered into an empty grid,
-    and one inverse FFT.  It equals ``propagate`` of the spectrum's field,
-    without the forward FFT."""
+    times the (band-limited) H over the box's bins, scattered into an empty
+    grid, and one inverse FFT.  It equals ``propagate`` of the spectrum's
+    field, without the forward FFT.  H is built over the box alone, with
+    the cached quadrant's formula, and not cached."""
     _require_step(dz)
-    transfer, _ = _transfer_function(spectrum.side, spectrum.extent,
-                                     spectrum.wavelength, dz, True)
-    fold = np.minimum(spectrum.bins, spectrum.side - spectrum.bins)
-    return _inverse(spectrum, spectrum.values * transfer[np.ix_(fold, fold)],
-                    dz)
+    side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
+    f = _frequencies(side, extent)[np.minimum(spectrum.bins,
+                                              side - spectrum.bins)]
+    # The bits of a complex product depend on the operands' order, and numpy
+    # computes ``values * temporary`` of 256 KiB or more in the temporary as
+    # ``temporary * values``.  So the product keeps this form.
+    return _inverse(spectrum, spectrum.values * _transfer_block(
+        f, f, lam, dz, _band_limit(extent, lam, dz)), dz)
 
 
 def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
@@ -261,30 +302,47 @@ def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
     return _inverse(spectrum, spectrum.values, 0.0)
 
 
+def _runs(indices: np.ndarray) -> list:
+    """(lo, hi) of each run of consecutive values in the sorted
+    ``indices``."""
+    cut = np.flatnonzero(np.diff(indices) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1)
+            for run in np.split(indices, cut) if len(run)]
+
+
 def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
              dz: float) -> ScalarField:
     """The field whose spectrum is ``values`` on the box of ``spectrum``.
 
-    The inverse along axis 0 runs on the box's columns only; the other
-    columns are zero and stay zero.  The inverse along axis 1 then runs on
-    every row of the grid, each row range zero-filled and given its part
-    of the columns first.  ``ifft2`` makes the same two passes in the same
-    order, and its 1/side**2 scale, taken here as 1/side per pass, is a
-    power of two (a ``ScalarField`` side is one), so the samples are bit for
-    bit those of ``ifft2``."""
+    All in the new grid: the inverse along axis 0 runs on the box's columns
+    only, each run of them zeroed and given its part of ``values`` first;
+    the other columns are zero and stay zero.  The inverse along axis 1
+    then runs on every row, each row range's other columns zeroed first.
+    ``ifft2`` makes the same two passes in the same order, and its
+    1/side**2 scale, taken here as 1/side per pass, is a power of two (a
+    ``ScalarField`` side is one), so the samples are bit for bit those of
+    ``ifft2``."""
     side, bins = spectrum.side, spectrum.bins
-    columns = np.zeros((side, len(bins)), dtype=np.complex128)
-    columns[bins] = values
-    _split(len(bins), lambda lo, hi: fft.ifft(columns[:, lo:hi], axis=0,
-                                              overwrite_x=True, workers=1))
+    columns = np.sort(bins)
+    at = np.empty(side, dtype=np.intp)   # column bin -> column of values
+    at[bins] = np.arange(len(bins))
+    gaps = _runs(np.setdiff1d(np.arange(side), bins))
     grid = _grid(side)
+
+    def box_columns(lo, hi):
+        for a, b in _runs(columns[lo:hi]):
+            block = grid[:, a:b]
+            block[...] = 0
+            block[bins] = values[:, at[a:b]]
+            fft.ifft(block, axis=0, overwrite_x=True, workers=1)
 
     def rows(lo, hi):
         block = grid[lo:hi]
-        block[...] = 0
-        block[:, bins] = columns[lo:hi]
+        for a, b in gaps:
+            block[:, a:b] = 0
         fft.ifft(block, axis=1, overwrite_x=True, workers=1)
 
+    _split(len(columns), box_columns)
     _split(side, rows)
     return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,

@@ -17,7 +17,9 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
 from oamlink.propagation import (advance_beams, propagate_to, sample_points,
-                                 _GRID_PAD)
+                                 _GRID_PAD, _transfer_function)
+from oamlink.scenario import (obstruction_from, ring_radius_for,
+                              wavelength_from)
 
 
 def _ring_field(side=2048, extent=4.0, ring=1.9, width=0.1, modes=((2, 1.0),),
@@ -270,11 +272,14 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
             assert np.array_equal(_bits(o), _bits(o_ref))
 
 
-def _peak_grids(run, side):
+def _peak_grids(run, side, cold=False):
     """The peak memory a second call of ``run`` allocates, in grids of
     ``side * (side + _GRID_PAD)`` complex128 samples.  The first call fills
-    the transfer-function cache and starts the helper threads."""
+    the transfer-function cache and starts the helper threads; ``cold``
+    empties the cache before the second call, so its builds count."""
     run()
+    if cold:
+        _transfer_function.cache_clear()
     tracemalloc.start()
     try:
         run()
@@ -282,6 +287,27 @@ def _peak_grids(run, side):
     finally:
         tracemalloc.stop()
     return peak / (side * (side + _GRID_PAD) * 16)
+
+
+def _default_walk(side):
+    """A call that walks the default experiment's order-2 beams on a
+    ``side``^2 grid to the end, as ``run_experiment`` does: the launch to
+    the mask at 10 m, then hops of 1, 4 and 5 m."""
+    cfg = validate_config({"grid": {"side": side}})
+    grid = cfg["grid"]
+    ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
+                      num_elements_N=cfg["ring_elements"], order_l=2)
+    source = source_spectrum(ring, side, grid["extent_m"],
+                             wavelength_from(cfg),
+                             math.radians(grid["theta_max_deg"]))
+    planes = cfg["healing"]["z_samples_m"]   # 11, 15, 20, ..., 50 m
+
+    def walk():
+        for _ in advance_beams(source, obstruction_from(cfg), planes,
+                               grid["max_step_m"], grid["edge_margin"]):
+            pass
+
+    return walk
 
 
 def test_runs_hold_one_grid_per_beam():
@@ -294,9 +320,32 @@ def test_runs_hold_one_grid_per_beam():
             pass
 
     assert _peak_grids(walk, 256) < 3
+    # from a cold cache the default walk adds only the three cached
+    # quadrants of its hops (0.25 grids each): the launch caches none and
+    # each is built once
+    assert _peak_grids(_default_walk(1024), 1024, cold=True) < 3.0
     # the obstructed scenario launches, masks and steps one grid
     s = scenario_from_config(validate_config({}), 2, obstructed=True)
-    assert _peak_grids(lambda: run_scenario(s), 1024) < 2
+    assert _peak_grids(lambda: run_scenario(s), 1024) < 1.2
+
+
+def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):
+    # both beams reach each new hop length at once; the second waits for
+    # the first one's build
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
+    walk = _default_walk(256)
+    _transfer_function.cache_clear()
+    threads = []
+    real = propagation.propagate
+
+    def recording(field, dz, *args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real(field, dz, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "propagate", recording)
+    walk()
+    assert any(name.startswith("oamlink-beam") for name in threads)
+    assert _transfer_function.cache_info().misses == 3   # 1, 4 and 5 m
 
 
 def _record_fft_threads(monkeypatch):

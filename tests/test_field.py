@@ -1,5 +1,7 @@
 """Sampled-field container, geometry guards and snapshot formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,25 @@ def test_binary_round_trip(tmp_path):
     assert g.extent == pytest.approx(f.extent)
     # storage is complex64: round trip is accurate to single precision
     assert np.max(np.abs(g.samples - f.samples)) < 1e-5 * np.max(np.abs(f.samples))
+
+
+def test_binary_snapshot_is_written_in_row_blocks(tmp_path):
+    # a padded (side, side + 12) grid, as the steps make; the payload is the
+    # complex64 samples row by row, written a block of rows at a time
+    side = 1024
+    grid = np.empty((side, side + 12), dtype=np.complex128)[:, :side]
+    grid[...] = _field(side=side, extent=12.0).samples
+    f = ScalarField(grid, 12.0, 50.0, 0.0107)
+    path = tmp_path / "big.oamf"
+    tracemalloc.start()
+    try:
+        write_field(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20   # a whole-grid copy is 8 MiB at complex64
+    payload = path.read_bytes()[4 + 32:]
+    assert payload == grid.astype(np.complex64).tobytes()
 
 
 def test_binary_format_guards(tmp_path):

@@ -2,6 +2,8 @@
 Rayleigh-Sommerfeld quadrature oracle."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,22 +149,19 @@ def test_cached_transfer_matches_formula(band_limited):
             expected = np.fft.ifft2(np.fft.fft2(f.samples) * ref)
             assert np.max(np.abs(g.samples - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
-        transfer, keep = (_unfold(q, f.side) for q in _transfer_function(
-            f.side, f.extent, f.wavelength, dz, band_limited))
-        assert np.array_equal(keep, ref != 0)
+        transfer = _unfold(_transfer_function(
+            f.side, f.extent, f.wavelength, dz, band_limited), f.side)
+        assert np.array_equal(transfer != 0, ref != 0)
         assert np.max(np.abs(transfer - ref)) <= 1e-12
 
 
 def test_cached_transfer_is_read_only():
     f = _bandlimited_field()
-    transfer, keep = _transfer_function(f.side, f.extent, f.wavelength, 0.5,
-                                        True)
+    transfer = _transfer_function(f.side, f.extent, f.wavelength, 0.5, True)
     with pytest.raises(ValueError):
         transfer[0, 0] = 0.0
     with pytest.raises(ValueError):
         transfer *= 2.0
-    with pytest.raises(ValueError):
-        keep[0, 0] = False
 
 
 def test_cache_keys_on_step_and_band_limit():
@@ -176,13 +175,12 @@ def test_cache_keys_on_step_and_band_limit():
     propagate(f, 3.0, band_limited=False)
     assert _transfer_function.cache_info().currsize == 3
     key = (f.side, f.extent, f.wavelength)
-    h_short, _ = _transfer_function(*key, 0.5, True)
-    h_long, _ = _transfer_function(*key, 3.0, True)
-    h_open, keep_open = _transfer_function(*key, 3.0, False)
+    h_short = _transfer_function(*key, 0.5, True)
+    h_long = _transfer_function(*key, 3.0, True)
+    h_open = _transfer_function(*key, 3.0, False)
     assert not np.array_equal(h_short, h_long)
     # a long step clips the band; without the limit more components survive
     assert np.count_nonzero(h_open) > np.count_nonzero(h_long)
-    assert np.count_nonzero(keep_open) == np.count_nonzero(h_open)
 
 
 def test_cache_stays_within_its_bound():
@@ -339,7 +337,8 @@ def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
     # 2 mm spacing and a 5 cm step: the band limit (74 /m) lies inside the
     # evanescent cut (93 /m), which lies inside the grid's band (250 /m)
     key = (side, 0.002 * side, 0.0107, 0.05, band_limited)
-    transfer, keep = (_unfold(q, side) for q in _transfer_function(*key))
+    transfer = _unfold(_transfer_function(*key), side)
+    keep = transfer != 0
     ref_transfer, ref_keep = _full_grid_transfer(*key)
     assert 100 < np.count_nonzero(keep) < side * side // 4
     assert np.array_equal(keep, ref_keep)
@@ -349,9 +348,9 @@ def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
 @pytest.mark.parametrize("side", [64, 65, 1024])
 def test_transfer_cache_entry_holds_one_quadrant(side):
     key = (side, 0.002 * side, 0.0107, 0.05, True)
-    transfer, keep = _transfer_function(*key)
-    assert transfer.shape == keep.shape == (side // 2 + 1, side // 2 + 1)
-    assert transfer.nbytes + keep.nbytes <= (side // 2 + 1) ** 2 * 17
+    transfer = _transfer_function(*key)
+    assert transfer.shape == (side // 2 + 1, side // 2 + 1)
+    assert transfer.nbytes <= (side // 2 + 1) ** 2 * 16
 
 
 def _bits(samples):
@@ -422,6 +421,44 @@ def test_out_must_be_a_grid_of_the_field_or_apart_from_it():
         propagate_to(spectrum, 10.0, out=propagation._grid(64))
 
 
+def test_threads_that_miss_a_key_together_build_it_once():
+    # more threads than cores, switching often, all asking for one cold key
+    key = (64, 0.128, 0.0107, 0.5, True)
+    _transfer_function.cache_clear()
+    start = threading.Barrier(8)
+    got = []
+
+    def ask():
+        start.wait()
+        got.append(propagation._transfer(*key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 8 and all(h is got[0] for h in got)
+    assert _transfer_function.cache_info().misses == 1
+
+
+def test_launch_builds_its_box_of_the_transfer_function_uncached():
+    f = _bandlimited_field()
+    spectrum = source_spectrum(SourceRing(0.149, 238, 2), 256, 12.0, 0.0107,
+                               math.radians(5.0))
+    _transfer_function.cache_clear()
+    propagate(f, 0.5)
+    before = _transfer_function.cache_info()
+    launch(spectrum, 10.0)
+    launch(spectrum, 10.0)
+    assert _transfer_function.cache_info() == before
+
+
 @pytest.mark.parametrize("dz", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_steps_are_rejected(dz):
     f = _bandlimited_field()
@@ -465,7 +502,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
     spectrum = source_spectrum(ring, side, 12.0, lam, theta)
     values = spectrum.values.copy()
     launched = launch(spectrum, 10.0)
-    transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0, True)[0], side)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0, True), side)
     grid = np.zeros((side, side), dtype=complex)
     box = np.ix_(spectrum.bins, spectrum.bins)
     grid[box] = spectrum.values * transfer[box]
@@ -487,7 +524,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
 
     before = masked.samples.copy()
     stepped = propagate(masked, 4.0)
-    transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0, True)[0], side)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0, True), side)
     ref = scipy_fft.fft2(before) * transfer
     ref = scipy_fft.ifft2(ref)
     assert np.array_equal(_bits(stepped.samples), _bits(ref))
