@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
 from .errors import GeometryError
+
+SPEED_OF_LIGHT = 299792458.0   # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)

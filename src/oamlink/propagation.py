@@ -9,16 +9,19 @@ components, and clip the transfer function beyond the anti-aliasing band
 limit tied to the step size and grid extent.  Long hops should be split
 into sub-steps (see ``propagate_to``) so the band limit stays generous.
 
-A step runs, in one grid, the forward FFT (``scipy.fft``, complex128),
-the multiply by the transfer function H and the inverse FFT; the returned
-field holds the grid.  The grid is new, with the field copied into it,
-unless the caller passes ``out``: a step, or ``apply_mask``, given
-``out=field.samples`` runs the same passes in the field's own grid and
-skips the copy, and the field passed in no longer holds its old samples.
-Without ``out`` a field passed in is never written.  ``propagate_to``
-steps in place from its second step on, since those fields are its own,
-and the runners (``advance_beams``, ``scenario.run_scenario``) pass the
-grids they made as ``out``, so a walk holds one grid per beam.  A walk
+A step runs, in one grid, the forward FFT, the multiply by the transfer
+function H and the inverse FFT; the returned field holds the grid.  The
+FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
+numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
+bits, and a run imports no scipy.  The grid is new, with the field
+copied into it, unless the caller passes ``out``: a step, or
+``apply_mask``, given ``out=field.samples`` runs the same passes in the
+field's own grid and skips the copy, and the field passed in no longer
+holds its old samples.  Without ``out`` a field passed in is never
+written.  ``propagate_to`` steps in place from its second step on, since
+those fields are its own, and the runners (``advance_beams``,
+``scenario.run_scenario``) pass the grids they made as ``out``, so a walk
+holds one grid per beam.  A walk
 that starts from a band-limited spectrum (``FieldSpectrum``, e.g. the
 source from ``beams.source_spectrum``) takes its first step as a
 ``launch``: the spectrum's box of bins times H and one inverse FFT, with
@@ -57,9 +60,10 @@ rows, and the edge taper of ``propagate_to`` on the rows; the mask's
 multiply is one pass on the rows.  Each pass is split (``_split``) into one
 range of columns or rows per core; the calling thread runs the first and
 helper threads (``_part_pool``, started on first use) the others.  Every
-FFT runs on one thread.  The 1-D transforms are independent and the
-inverse's 1/side per pass is a power of two, so the output is bit for bit
-that of ``ifft2(fft2(field) * H)`` whatever the count.
+FFT runs on one thread and releases the GIL.  The 1-D transforms are
+independent and the inverse's 1/side per pass is a power of two, so the
+output is bit for bit that of ``ifft2(fft2(field) * H)`` whatever the
+count.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from .errors import GeometryError, OutOfExtentError, PlaneMismatchError
 from .field import FieldSpectrum, ScalarField
@@ -265,18 +269,24 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
         columns = grid[:, lo:hi]
         if grid is not samples:
             columns[...] = samples[:, lo:hi]
-        fft.fft(columns, axis=0, overwrite_x=True, workers=1)
+        fft.fft(columns, axis=0, out=columns)
 
     def forward_rows(lo, hi):
-        fft.fft(grid[lo:hi], axis=1, overwrite_x=True, workers=1)
+        rows = grid[lo:hi]
+        fft.fft(rows, axis=1, out=rows)
         _multiply_unfolded(grid, transfer, lo, hi)
 
-    _split(field.side, forward_columns)
-    _split(field.side, forward_rows)
-    _split(field.side, lambda lo, hi: fft.ifft(grid[:, lo:hi], axis=0,
-                                               overwrite_x=True, workers=1))
-    _split(field.side, lambda lo, hi: fft.ifft(grid[lo:hi], axis=1,
-                                               overwrite_x=True, workers=1))
+    def inverse_columns(lo, hi):
+        columns = grid[:, lo:hi]
+        fft.ifft(columns, axis=0, out=columns)
+
+    def inverse_rows(lo, hi):
+        rows = grid[lo:hi]
+        fft.ifft(rows, axis=1, out=rows)
+
+    for work in (forward_columns, forward_rows, inverse_columns,
+                 inverse_rows):
+        _split(field.side, work)
     return field.with_samples(grid, z=field.z_position + dz)
 
 
@@ -290,11 +300,10 @@ def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
     f = _frequencies(side, extent)[np.minimum(spectrum.bins,
                                               side - spectrum.bins)]
-    # The bits of a complex product depend on the operands' order, and numpy
-    # computes ``values * temporary`` of 256 KiB or more in the temporary as
-    # ``temporary * values``.  So the product keeps this form.
-    return _inverse(spectrum, spectrum.values * _transfer_block(
-        f, f, lam, dz, _band_limit(extent, lam, dz)), dz)
+    box = _transfer_block(f, f, lam, dz, _band_limit(extent, lam, dz))
+    # The bits of a complex product depend on the operands' order, so the
+    # order is written out: H times the values, in H's box.
+    return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz)
 
 
 def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
@@ -326,7 +335,9 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
     columns = np.sort(bins)
     at = np.empty(side, dtype=np.intp)   # column bin -> column of values
     at[bins] = np.arange(len(bins))
-    gaps = _runs(np.setdiff1d(np.arange(side), bins))
+    free = np.ones(side, dtype=bool)
+    free[bins] = False
+    gaps = _runs(np.flatnonzero(free))
     grid = _grid(side)
 
     def box_columns(lo, hi):
@@ -334,13 +345,13 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
             block = grid[:, a:b]
             block[...] = 0
             block[bins] = values[:, at[a:b]]
-            fft.ifft(block, axis=0, overwrite_x=True, workers=1)
+            fft.ifft(block, axis=0, out=block)
 
     def rows(lo, hi):
         block = grid[lo:hi]
         for a, b in gaps:
             block[:, a:b] = 0
-        fft.ifft(block, axis=1, overwrite_x=True, workers=1)
+        fft.ifft(block, axis=1, out=block)
 
     _split(len(columns), box_columns)
     _split(side, rows)

@@ -20,8 +20,8 @@ from .beams import SourceRing, matched_radius, source_spectrum
 from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
 from .field import FieldSpectrum, write_field
-from .link_design import (LinkBudget, compare_with_reference, derive_link,
-                          max_beam_radius)
+from .link_design import (SPEED_OF_LIGHT, LinkBudget, compare_with_reference,
+                          derive_link, max_beam_radius)
 from .propagation import (ObstructionMask, advance_beams, apply_mask,
                           propagate_to, sample_points, spectrum_field)
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
@@ -255,7 +255,7 @@ def wavelength_from(cfg: dict) -> float:
     override = cfg["link"]["wavelength_override_m"]
     if override is not None:
         return float(override)
-    return 299792458.0 / cfg["link"]["rf_hz"]
+    return SPEED_OF_LIGHT / cfg["link"]["rf_hz"]
 
 
 def obstruction_from(cfg: dict) -> ObstructionMask | None:

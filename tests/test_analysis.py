@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import fft as scipy_fft
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
                      field_similarity, propagation, run_scenario,
@@ -360,7 +359,7 @@ def _record_fft_threads(monkeypatch):
         return run
 
     monkeypatch.setattr(propagation, "fft", SimpleNamespace(
-        fft=recording(scipy_fft.fft), ifft=recording(scipy_fft.ifft)))
+        fft=recording(np.fft.fft), ifft=recording(np.fft.ifft)))
     return names
 
 

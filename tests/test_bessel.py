@@ -89,6 +89,15 @@ def test_first_max_abscissa_against_oracle():
         assert abs(slope) < 1e-8
 
 
+def test_first_max_abscissa_is_scipys_first_zero_of_the_derivative():
+    # the pinned table holds scipy's values bit for bit, for either sign
+    from scipy.special import jnp_zeros
+    for n in range(1, MAX_ORDER + 1):
+        zero = float(jnp_zeros(n, 1)[0])
+        assert first_max_abscissa(n) == zero
+        assert first_max_abscissa(-n) == zero
+
+
 def test_first_max_value_order_two():
     # J_2 evaluated at its first maximum
     assert bessel_j(2, 3.0542) == pytest.approx(0.48650, abs=1e-4)

@@ -505,7 +505,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
     transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0, True), side)
     grid = np.zeros((side, side), dtype=complex)
     box = np.ix_(spectrum.bins, spectrum.bins)
-    grid[box] = spectrum.values * transfer[box]
+    grid[box] = np.multiply(transfer[box], spectrum.values)
     ref = scipy_fft.ifft2(grid)
     assert np.array_equal(_bits(launched.samples), _bits(ref))
     assert np.array_equal(spectrum.values, values)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,33 @@ def test_wavelength_and_geometry_helpers():
     assert mask.shape == "rectangle" and mask.z_position == 10.0
     cfg_off = validate_config({"obstruction": {"enabled": False}})
     assert obstruction_from(cfg_off) is None
+
+
+_RUN_IMPORTS = """
+import sys
+import oamlink
+from oamlink import run_scenario, scenario_from_config
+cfg = oamlink.validate_config({"grid": {"side": 64}})
+oamlink.generate_pilot(cfg["rx"]["pilot_seed"], cfg["rx"]["pilot_symbols"])
+oamlink.run_experiment(cfg, out_dir=sys.argv[1])
+for order in (1, 3):   # no configured ring radius: the matched-radius path
+    for obstructed in (False, True):
+        run_scenario(scenario_from_config(cfg, order, obstructed))
+print(" ".join(m for m in ("scipy.fft", "scipy.special", "scipy.constants",
+                           "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_a_run_imports_no_scipy_submodule(tmp_path):
+    # a fresh process: the import, the setup and both kinds of run load
+    # neither scipy's FFT, special functions or constants nor numpy.ma
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _RUN_IMPORTS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == ""
+    assert (tmp_path / "report.json").exists()
 
 
 def test_run_scenario_clear_small_grid():
