@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import OamLinkError
+from .errors import ConfigError, OamLinkError
 from .field import write_field, write_field_csv
 from .scenario import (default_config, link_plan, run_experiment,
                        run_scenario, scenario_from_config, validate_config,
@@ -19,7 +19,12 @@ def _load_config(path):
     if path is None:
         return default_config()
     with open(path) as fh:
-        return validate_config(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except ValueError as e:   # not JSON, or not text
+            raise ConfigError("(top level)", f"{path} is not JSON: {e}") \
+                from None
+    return validate_config(cfg)
 
 
 def _apply_overrides(cfg, args):
@@ -47,10 +52,10 @@ def cmd_plan(args):
 
 def cmd_simulate(args):
     cfg = _apply_overrides(_load_config(args.config), args)
+    out = _out_dir(args)
     s = scenario_from_config(cfg, args.mode, obstructed=not args.clear,
                              h_scale=None)
     result = run_scenario(s, keep_fields=args.dump_fields)
-    out = _out_dir(args)
     summary = {
         "mode": s.order_l,
         "scenario": "clear" if args.clear else "obstructed",
@@ -71,7 +76,8 @@ def cmd_simulate(args):
 
 def cmd_experiment(args):
     cfg = _apply_overrides(_load_config(args.config), args)
-    report = run_experiment(cfg, out_dir=args.out, dump_fields=args.dump_fields)
+    report = run_experiment(cfg, out_dir=_out_dir(args),
+                            dump_fields=args.dump_fields)
     for l, data in sorted(report["modes"].items(), key=lambda kv: int(kv[0])):
         print(f"mode {l}: d_power={data['d_power_db']:+.2f} dB  "
               f"d_snr={data['d_snr_db_mean']:+.2f} dB  "
@@ -121,7 +127,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except OamLinkError as e:
+    except (OamLinkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -47,19 +47,19 @@ an entry holds only the quadrant of bins 0..side//2 of H,
 reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
 A build runs ``_BUILD_ROWS`` rows at a time, so its temporaries are one
 block's.  Builds are single-flight: the cache is reached under a lock
-(``_transfer``), so two beams that miss a key at once build it once.
+(``_transfer``), so two threads that miss a key at once build it once.
 
-A step uses the cores its thread was given: ``_FFT_WORKERS``, all cores in
-the process's affinity set (``os.sched_getaffinity``, else
-``os.cpu_count()``), with no setting; ``advance_beams`` gives each of its
-two beams half of them (``_given_cores``).  A step runs as passes over the
-grid with a barrier between them: the copy, unless the step is in place,
-and the forward FFT along the columns, the forward FFT along the rows and
-the multiply by H, the inverse FFT along the columns, the inverse along the
-rows, and the edge taper of ``propagate_to`` on the rows; the mask's
-multiply is one pass on the rows.  Each pass is split (``_split``) into one
-range of columns or rows per core; the calling thread runs the first and
-helper threads (``_part_pool``, started on first use) the others.  Every
+A step uses ``_FFT_WORKERS`` cores: all cores in the process's affinity
+set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no setting.
+A step runs as passes over the grid with a barrier between them: the copy,
+unless the step is in place, and the forward FFT along the columns, the
+forward FFT along the rows and the multiply by H, the inverse FFT along the
+columns, the inverse along the rows, and the edge taper of
+``propagate_to`` on the rows; the mask's multiply is one pass on the rows.
+Each pass is split (``_split``) into one range of columns or rows per core;
+the calling thread runs the first and helper threads (``_part_pool``,
+started on first use) the others.  This is the one layer of threads: the
+beams of a walk step one after the other, each step on every core.  Every
 FFT runs on one thread and releases the GIL.  The 1-D transforms are
 independent and the inverse's 1/side per pass is a power of two, so the
 output is bit for bit that of ``ifft2(fft2(field) * H)`` whatever the
@@ -73,7 +73,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,24 +87,6 @@ _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 _GRID_PAD = 12
 _BUILD_ROWS = 64
 _TRANSFER_LOCK = threading.Lock()
-_THREAD = threading.local()
-
-
-def _cores() -> int:
-    """Cores for a step started on this thread."""
-    return getattr(_THREAD, "cores", None) or _FFT_WORKERS
-
-
-@contextmanager
-def _given_cores(cores: int):
-    """Run the steps this thread starts inside the block on ``cores``
-    cores."""
-    outer = getattr(_THREAD, "cores", None)
-    _THREAD.cores = cores
-    try:
-        yield
-    finally:
-        _THREAD.cores = outer
 
 
 @functools.cache
@@ -118,11 +99,11 @@ def _part_pool() -> ThreadPoolExecutor:
 
 
 def _split(n: int, work) -> None:
-    """``work(lo, hi)`` over 0..n in one contiguous range per core of this
-    thread (``_cores``): the first range on this thread, the others on the
+    """``work(lo, hi)`` over 0..n in one contiguous range per core
+    (``_FFT_WORKERS``): the first range on this thread, the others on the
     helper pool.  Returns once every part has ended, then raises the first
     error."""
-    parts = min(_cores(), n)
+    parts = min(_FFT_WORKERS, n)
     bounds = [n * i // parts for i in range(parts + 1)]
     pending = [_part_pool().submit(work, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -250,10 +231,10 @@ def _require_step(dz: float) -> None:
 def propagate(field: ScalarField, dz: float, band_limited: bool = True,
               out: np.ndarray | None = None) -> ScalarField:
     """Field at z + dz via the (band-limited) angular-spectrum method:
-    ``ifft2(fft2(field) * H)`` in four passes, each split over this thread's
-    cores: the copy, unless the step is in place, and the forward FFT on
-    column ranges; the forward FFT and the multiply by H on row ranges; the
-    inverse FFT on column ranges, then on row ranges.
+    ``ifft2(fft2(field) * H)`` in four passes, each split over the cores
+    (``_split``): the copy, unless the step is in place, and the forward FFT
+    on column ranges; the forward FFT and the multiply by H on row ranges;
+    the inverse FFT on column ranges, then on row ranges.
 
     The result is written to ``out`` if given, else to a new grid.
     ``out=field.samples`` steps the field in its own grid; ``out`` holds
@@ -536,11 +517,8 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     resumes: the next hop writes its samples.  A caller that wants a plane
     for longer copies it.  The walk never writes ``source``.
 
-    With a mask and at least two cores on this thread (``_cores``), each
-    hop steps the obstructed beam on a one-thread pool and the clear beam on
-    the calling thread, each with half the cores for its steps; an error on
-    the pool's thread is raised here.  The fields are bit for bit those of
-    stepping the beams one after the other.
+    The beams step one after the other on the calling thread, the clear
+    one first, each step split over every core (``_split``).
     """
     z_planes = list(z_planes)
     if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
@@ -553,45 +531,14 @@ def advance_beams(source: ScalarField | FieldSpectrum,
         clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
         obstructed = apply_mask(clear, mask)
     owned = mask is not None   # whether the clear beam is in the walk's grid
-    cores = _cores()
-    both = obstructed is not None and cores >= 2
     for z in z_planes:
-        if both:
-            clear, obstructed = _step_both(clear, obstructed, z, max_step,
-                                           edge_margin, cores // 2)
-        else:
-            clear = propagate_to(clear, z, max_step, edge_margin,
-                                 clear.samples if owned else None)
-            owned = True
-            if obstructed is not None:
-                obstructed = propagate_to(obstructed, z, max_step,
-                                          edge_margin, obstructed.samples)
+        clear = propagate_to(clear, z, max_step, edge_margin,
+                             clear.samples if owned else None)
+        owned = True
+        if obstructed is not None:
+            obstructed = propagate_to(obstructed, z, max_step, edge_margin,
+                                      obstructed.samples)
         yield z, clear, obstructed
-
-
-@functools.cache
-def _beam_pool() -> ThreadPoolExecutor:
-    """The thread that steps the obstructed beam, started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="oamlink-beam")
-
-
-def _step_both(clear: ScalarField, obstructed: ScalarField, z: float,
-               max_step: float, edge_margin: float, cores: int):
-    """Both beams at plane ``z``, each stepped in its own grid on ``cores``
-    cores: the obstructed one from the pool's thread while this thread steps
-    the clear one."""
-
-    def step(beam):
-        with _given_cores(cores):
-            return propagate_to(beam, z, max_step, edge_margin, beam.samples)
-
-    pending = _beam_pool().submit(step, obstructed)
-    try:
-        clear = step(clear)
-    except BaseException:
-        pending.exception()   # the pool's step ends before this error leaves
-        raise
-    return clear, pending.result()
 
 
 def sample_points(field: ScalarField, points) -> np.ndarray:

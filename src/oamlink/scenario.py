@@ -115,6 +115,9 @@ def _positive_number(value) -> bool:
 
 def validate_config(cfg: dict) -> dict:
     """Fill a user config over the defaults and type-check the result."""
+    if cfg is not None and not isinstance(cfg, dict):
+        raise ConfigError("(top level)", f"expected an object of config "
+                                         f"sections, got {type(cfg).__name__}")
     merged = default_config()
 
     def deep_merge(base, extra, prefix=""):
@@ -173,8 +176,19 @@ def validate_config(cfg: dict) -> dict:
                 or order == 0 or abs(order) > MAX_ORDER:
             raise ConfigError("modes", f"each order must be a nonzero integer "
                                        f"with |l| <= {MAX_ORDER}, got {order!r}")
-    if not merged["link"]["rf_hz"] > 0:
+    max_order = max(abs(order) for order in merged["modes"])
+    if merged["ring_elements"] <= 2 * max_order:
+        raise ConfigError("ring_elements", f"must exceed 2|l| = {2 * max_order} "
+                                           f"to carry every order in modes")
+    link = merged["link"]
+    if not link["rf_hz"] > 0:
         raise ConfigError("link.rf_hz", "must be positive")
+    if link["num_modes"] < 2:
+        raise ConfigError("link.num_modes", "must be at least 2")
+    if not 0 < link["bandwidth_hz"] < link["digital_if_hz"]:
+        raise ConfigError("link.bandwidth_hz", f"must be positive and below "
+                                               f"link.digital_if_hz "
+                                               f"({link['digital_if_hz']:g})")
     grid = merged["grid"]
     side = grid["side"]
     if side < 64 or side & (side - 1):
@@ -226,7 +240,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("obstruction.transmittance",
                               "must lie in [0, 1]")
     max_mode = merged["healing"]["max_mode"]
-    if max_mode < max(abs(order) for order in merged["modes"]):
+    if max_mode < max_order:
         raise ConfigError("healing.max_mode", f"must reach the largest |l| "
                                               f"in modes, got {max_mode}")
     z_min = obstruction["z_m"] if obstruction["enabled"] else 0.0

@@ -262,8 +262,12 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
         threads = []
         _, copies = _walk(monkeypatch, cores, source, mask, planes, threads)
         assert np.array_equal(source.values, values)   # never written
-        on_pool = sum(name.startswith("oamlink-beam") for name in threads)
-        assert on_pool == (0 if cores == 1 else len(threads) // 2)
+        # the beams step one after the other: every step starts on the
+        # calling thread, whatever the core count, and the walk starts no
+        # thread of its own
+        assert threads and set(threads) == {threading.current_thread().name}
+        assert not any(t.name.startswith("oamlink-beam")
+                       for t in threading.enumerate())
         assert [z for z, _, _ in copies] == planes   # one yield per plane
         for (z, c, o), (z_ref, c_ref, o_ref) in zip(copies, chain):
             assert z == z_ref
@@ -329,21 +333,12 @@ def test_runs_hold_one_grid_per_beam():
 
 
 def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):
-    # both beams reach each new hop length at once; the second waits for
-    # the first one's build
+    # both beams reach each new hop length; the clear beam's step builds its
+    # quadrant and the obstructed beam's step reads it
     monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
     walk = _default_walk(256)
     _transfer_function.cache_clear()
-    threads = []
-    real = propagation.propagate
-
-    def recording(field, dz, *args, **kwargs):
-        threads.append(threading.current_thread().name)
-        return real(field, dz, *args, **kwargs)
-
-    monkeypatch.setattr(propagation, "propagate", recording)
     walk()
-    assert any(name.startswith("oamlink-beam") for name in threads)
     assert _transfer_function.cache_info().misses == 3   # 1, 4 and 5 m
 
 

@@ -224,14 +224,21 @@ def test_z_samples_bound_follows_the_mask():
     ({"ring_radii_m": {"three": 0.2}}, "ring_radii_m.three"),
     # a taper margin past the whole grid
     ({"grid": {"edge_margin": 1.5}}, "grid.edge_margin"),
+    # a link plan of one mode, a bandwidth past the receiver's IF and a ring
+    # too coarse for order 4
+    ({"link": {"num_modes": 1}}, "link.num_modes"),
+    ({"link": {"bandwidth_hz": 2e9}}, "link.bandwidth_hz"),
+    ({"ring_elements": 4}, "ring_elements"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
     # 0.0 at every plane (max_mode below |l| = 4), "channel has zero
     # magnitude" (no antennas), an unlabelled GeometryError, a TypeError or
     # ValueError (ring radii, wavelength), an IndexError (NaN receiver
-    # geometry), a run with no mask applied (NaN mask centre) or a
-    # ValueError from the taper (a margin past the whole grid)
+    # geometry), a run with no mask applied (NaN mask centre), a
+    # ValueError from the taper (a margin past the whole grid), an
+    # unlabelled GeometryError from the link plan (one mode, a bandwidth
+    # past the IF) or a NyquistError at synthesis (too few ring elements)
     assert _config_error_field(override) == field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
@@ -477,6 +484,44 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _cli_error(argv, capsys):
+    """The one line ``main(argv)`` prints to stderr, which must end the run
+    with exit code 1."""
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_cli_input_errors_are_one_line(tmp_path, capsys):
+    # each of these used to end in a traceback: an AttributeError from
+    # validate_config, a FileNotFoundError, a JSONDecodeError, a
+    # UnicodeDecodeError and a FileExistsError
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert "(top level)" in _cli_error(
+        ["plan", "--config", str(listed), "--out", str(tmp_path)], capsys)
+    with pytest.raises(ConfigError) as err:
+        validate_config([1])
+    assert err.value.field == "(top level)"
+    missing = tmp_path / "missing.json"
+    assert str(missing) in _cli_error(
+        ["plan", "--config", str(missing), "--out", str(tmp_path)], capsys)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"grid": ')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (malformed, binary):
+        assert str(path) in _cli_error(
+            ["experiment", "--config", str(path), "--out", str(tmp_path)],
+            capsys)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for command in ("plan", "simulate", "experiment"):
+        assert str(taken) in _cli_error(
+            [command, "--grid", "64", "--out", str(taken)], capsys)
+
+
 def test_cli_seed_and_grid_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -519,25 +564,32 @@ def test_experiment_errors_carry_stage_labels():
     assert str(err.value).startswith("[sampling] ")
 
 
-def test_error_on_the_beam_thread_keeps_its_stage_label(monkeypatch):
-    # past the mask the obstructed beam steps on the pool's thread when the
-    # process has two cores; its error reaches the caller labelled
-    import threading
+def test_error_in_the_obstructed_step_keeps_its_stage_label(monkeypatch):
+    # past the mask the obstructed beam steps in the grid the mask wrote;
+    # an error in that step reaches run_experiment's caller labelled
     from oamlink import propagation
     from oamlink.errors import GeometryError
-    real = propagation.propagate
+    real_mask, real_propagate = propagation.apply_mask, \
+        propagation.propagate
+    masked = []
 
-    def failing_off_main(field, dz, *args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise GeometryError("beam thread failed")
-        return real(field, dz, *args, **kwargs)
+    def recording_mask(*args, **kwargs):
+        field = real_mask(*args, **kwargs)
+        masked.append(field.samples)
+        return field
 
-    monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
-    monkeypatch.setattr(propagation, "propagate", failing_off_main)
+    def failing_obstructed(field, dz, *args, **kwargs):
+        if masked and np.shares_memory(field.samples, masked[-1]):
+            raise GeometryError("obstructed step failed")
+        return real_propagate(field, dz, *args, **kwargs)
+
+    monkeypatch.setattr(propagation, "apply_mask", recording_mask)
+    monkeypatch.setattr(propagation, "propagate", failing_obstructed)
     with pytest.raises(GeometryError) as err:
         run_experiment(_small_cfg())
-    assert str(err.value) == "[propagation] beam thread failed"
+    assert str(err.value) == "[propagation] obstructed step failed"
     assert err.value.stage == "propagation"
+    assert len(masked) == 1   # the first order's obstructed beam failed
 
 
 def test_propagation_steps_per_run(monkeypatch):
