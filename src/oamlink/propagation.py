@@ -13,57 +13,55 @@ A step runs, in one grid, the forward FFT, the multiply by the transfer
 function H and the inverse FFT; the returned field holds the grid.  The
 FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
 numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
-bits, and a run imports no scipy.  The grid is new, with the field
-copied into it, unless the caller passes ``out``: a step, or
-``apply_mask``, given ``out=field.samples`` runs the same passes in the
-field's own grid and skips the copy, and the field passed in no longer
-holds its old samples.  Without ``out`` a field passed in is never
-written.  ``propagate_to`` steps in place from its second step on, since
-those fields are its own, and the runners (``advance_beams``,
-``scenario.run_scenario``) pass the grids they made as ``out``, so a walk
-holds one grid per beam.  A walk
-that starts from a band-limited spectrum (``FieldSpectrum``, e.g. the
-source from ``beams.source_spectrum``) takes its first step as a
-``launch``: the spectrum's box of bins times H and one inverse FFT, with
-no forward FFT, into a new grid.  The launch builds H over its box alone
-(195^2 bins at 1024^2, against the 513^2 of a cached quadrant) and caches
-none.  The inverse (``_inverse``) works in the new grid itself: along the
-columns it runs only on the box's columns, each run of consecutive bins
-in place (a source spectrum's box has two), since every other column is
-zero, and along the rows on every row.
+bits, and a run imports no scipy.  The ``out`` of a step, or of
+``apply_mask``, is None, for a new grid with the field copied into it and
+the field never written, or ``field.samples``, for the same passes in the
+field's own grid with no copy.  ``propagate_to`` steps in place from its
+second step on, since those fields are its own, and the runners
+(``advance_beams``, ``scenario.run_scenario``) pass the grids they made
+as ``out``, so a walk holds one grid per beam.  A walk that starts from a
+band-limited spectrum (``FieldSpectrum``, e.g. the source from
+``beams.source_spectrum``) takes its first step as a ``launch``: the
+spectrum's box of bins times H and one inverse FFT, with no forward FFT,
+into a new grid.  The launch builds H over its box alone (195^2 bins at
+1024^2, against the 513^2 of a cached quadrant) and caches none.  The
+inverse (``_inverse``) scatters the box into the new grid, which is
+zeroed, and runs the inverse along the columns only on the box's columns,
+each run of consecutive bins in place (a source spectrum's box has two),
+since every other column is zero, and along the rows on every row.
 
-Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
-(``_grid``), so a row is an odd number of 64-byte cache lines: side/4 + 3,
-259 at 1024^2.  With an even number of lines the samples of a column map
-to half of the cache sets or fewer (to one with a power-of-two stride),
-and the transforms along the columns thrash.
+Every grid is a zeroed ``(side, side)`` view of a ``(side, side + 12)``
+buffer (``_grid``), so a row is an odd number of 64-byte cache lines:
+side/4 + 3, 259 at 1024^2.  With an even number of lines the samples of a
+column map to half of the cache sets or fewer (to one with a power-of-two
+stride), and the transforms along the columns thrash.
 
-H depends only on (side, extent, wavelength, dz, band_limited), so a step
-builds it once per key and keeps it, read-only, in a least-recently-used
-cache of ``_TRANSFER_CACHE_SIZE`` = 4 entries; the default experiment's
-steps use three (its hops of 1, 4 and 5 m).  H is even in fx and in fy, so
-an entry holds only the quadrant of bins 0..side//2 of H,
+H depends only on (side, extent, wavelength, dz), so a step builds it
+once per key and keeps it, read-only, in a least-recently-used cache of
+``_TRANSFER_CACHE_SIZE`` = 4 entries; the default experiment's steps use
+three (its hops of 1, 4 and 5 m).  H is even in fx and in fy, so an entry
+holds only the quadrant of bins 0..side//2 of H,
 ``(side//2 + 1)**2 * 16`` bytes (4.0 MiB at 1024^2); bin i of the grid
 reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
 A build runs ``_BUILD_ROWS`` rows at a time, so its temporaries are one
 block's.  Builds are single-flight: the cache is reached under a lock
 (``_transfer``), so two threads that miss a key at once build it once.
 
-A step uses ``_FFT_WORKERS`` cores: all cores in the process's affinity
-set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no setting.
-A step runs as passes over the grid with a barrier between them: the copy,
-unless the step is in place, and the forward FFT along the columns, the
-forward FFT along the rows and the multiply by H, the inverse FFT along the
-columns, the inverse along the rows, and the edge taper of
-``propagate_to`` on the rows; the mask's multiply is one pass on the rows.
-Each pass is split (``_split``) into one range of columns or rows per core;
-the calling thread runs the first and helper threads (``_part_pool``,
-started on first use) the others.  This is the one layer of threads: the
-beams of a walk step one after the other, each step on every core.  Every
-FFT runs on one thread and releases the GIL.  The 1-D transforms are
-independent and the inverse's 1/side per pass is a power of two, so the
-output is bit for bit that of ``ifft2(fft2(field) * H)`` whatever the
-count.
+Only the FFT passes use threads.  A step runs as passes over the grid
+with a barrier between them: the copy, unless the step is in place, and
+the forward FFT along the columns, the forward FFT along the rows and the
+multiply by H, the inverse FFT along the columns, the inverse along the
+rows.  Each pass is split (``_split``) into one range of columns or rows
+per core, over ``_FFT_WORKERS`` cores: all cores in the process's
+affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
+setting.  The calling thread runs the first range and helper threads
+(``_part_pool``, started on first use) the others.  The edge taper of
+``propagate_to``, the mask's multiply and the launch's scatter are
+memory-bound, run no faster split, and run on the calling thread.  The
+beams of a walk step one after the other.  Every FFT runs on one thread
+and releases the GIL.  The 1-D transforms are independent and the
+inverse's 1/side per pass is a power of two, so the output is bit for bit
+that of ``ifft2(fft2(field) * H)`` whatever the count.
 """
 
 from __future__ import annotations
@@ -116,22 +114,17 @@ def _split(n: int, work) -> None:
 
 
 def _grid(side: int) -> np.ndarray:
-    """A ``(side, side)`` view of a new ``(side, side + 12)`` complex128
-    buffer."""
-    return np.empty((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
+    """A ``(side, side)`` view of a new, zeroed ``(side, side + 12)``
+    complex128 buffer."""
+    return np.zeros((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
 def _target(samples: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The grid a pass over ``samples`` writes: a new one, or ``out``, which
-    must be a ``(side, side)`` complex128 array that is ``samples`` itself
-    or shares no memory with it."""
+    """A new grid for ``out=None``, else ``out``, which must be ``samples``."""
     if out is None:
         return _grid(samples.shape[0])
-    if out.shape != samples.shape or out.dtype != np.complex128:
-        raise GeometryError(f"out must be a {samples.shape} complex128 array")
-    if out is not samples and np.may_share_memory(out, samples):
-        raise GeometryError("out must be the field's samples or apart from "
-                            "them")
+    if out is not samples:
+        raise GeometryError("out must be None or the field's own samples")
     return out
 
 
@@ -145,21 +138,21 @@ def _frequencies(side: int, extent: float) -> np.ndarray:
     return np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
 
 
-def _transfer_block(fy: np.ndarray, fx: np.ndarray, wavelength: float,
-                    dz: float, f_lim: float | None,
+def _transfer_block(fy: np.ndarray, fx: np.ndarray, extent: float,
+                    wavelength: float, dz: float,
                     out: np.ndarray | None = None) -> np.ndarray:
     """H at row frequencies ``fy`` and column frequencies ``fx``, written to
     ``out`` if given, else to a new array, and returned:
     exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the kept band, 0
-    elsewhere.  The band keeps the propagating components and, unless
-    ``f_lim`` is None, those with |fx|, |fy| <= ``f_lim``.  Each element is
-    the same sequence of operations wherever the block lies, so blocks of a
-    grid equal its one-piece build bit for bit."""
+    elsewhere.  The band keeps the propagating components with |fx|, |fy|
+    <= ``_band_limit``.  Each element is the same sequence of operations
+    wherever the block lies, so blocks of a grid equal its one-piece build
+    bit for bit."""
+    f_lim = _band_limit(extent, wavelength, dz)
     fx2, fy2 = fx * fx, fy * fy
     kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fy2[:, None]
-    keep = kz_sq > 0
-    if f_lim is not None:
-        keep &= (np.abs(fx) <= f_lim)[None, :] & (np.abs(fy) <= f_lim)[:, None]
+    keep = (kz_sq > 0) & (np.abs(fx) <= f_lim)[None, :] \
+        & (np.abs(fy) <= f_lim)[:, None]
     phase = np.maximum(kz_sq, 0.0, out=kz_sq)
     np.sqrt(phase, out=phase)
     phase *= 2.0 * np.pi
@@ -171,8 +164,8 @@ def _transfer_block(fy: np.ndarray, fx: np.ndarray, wavelength: float,
 
 
 @functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
-def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
-                       band_limited: bool) -> np.ndarray:
+def _transfer_function(side: int, extent: float, wavelength: float,
+                       dz: float) -> np.ndarray:
     """The read-only quadrant of H for one step, over bins 0..side//2 of
     each axis (``_transfer_block``), built ``_BUILD_ROWS`` rows at a time.
     Reach it through ``_transfer``.
@@ -182,22 +175,21 @@ def _transfer_function(side: int, extent: float, wavelength: float, dz: float,
     |fx|.  So the quadrant, read at ``min(i, side - i)`` on each axis,
     equals the full-grid build element for element."""
     fx = _frequencies(side, extent)
-    f_lim = _band_limit(extent, wavelength, dz) if band_limited else None
     transfer = np.empty((len(fx), len(fx)), dtype=np.complex128)
     for lo in range(0, len(fx), _BUILD_ROWS):
         rows = slice(lo, lo + _BUILD_ROWS)
-        _transfer_block(fx[rows], fx, wavelength, dz, f_lim, transfer[rows])
+        _transfer_block(fx[rows], fx, extent, wavelength, dz, transfer[rows])
     transfer.flags.writeable = False
     return transfer
 
 
-def _transfer(side: int, extent: float, wavelength: float, dz: float,
-              band_limited: bool) -> np.ndarray:
+def _transfer(side: int, extent: float, wavelength: float,
+              dz: float) -> np.ndarray:
     """The cached quadrant of H for one step.  Threads that miss a key at
     the same time build it once: the first builds, the others wait for it
     and hit."""
     with _TRANSFER_LOCK:
-        return _transfer_function(side, extent, wavelength, dz, band_limited)
+        return _transfer_function(side, extent, wavelength, dz)
 
 
 def _mirror(side: int, h: int, lo: int, hi: int):
@@ -228,21 +220,19 @@ def _require_step(dz: float) -> None:
         raise GeometryError(f"dz must be positive and finite, got {dz!r}")
 
 
-def propagate(field: ScalarField, dz: float, band_limited: bool = True,
+def propagate(field: ScalarField, dz: float,
               out: np.ndarray | None = None) -> ScalarField:
-    """Field at z + dz via the (band-limited) angular-spectrum method:
-    ``ifft2(fft2(field) * H)`` in four passes, each split over the cores
-    (``_split``): the copy, unless the step is in place, and the forward FFT
-    on column ranges; the forward FFT and the multiply by H on row ranges;
-    the inverse FFT on column ranges, then on row ranges.
+    """Field at z + dz via the band-limited angular-spectrum method:
+    ``ifft2(fft2(field) * H)`` in four FFT passes, each split over the
+    cores (``_split``): the copy, unless the step is in place, and the
+    forward FFT on column ranges; the forward FFT and the multiply by H on
+    row ranges; the inverse FFT on column ranges, then on row ranges.
 
-    The result is written to ``out`` if given, else to a new grid.
-    ``out=field.samples`` steps the field in its own grid; ``out`` holds
-    no field if the step raises.
+    ``out`` is None, for a new grid, or ``field.samples``, which steps the
+    field in its own grid and holds no field if the step raises.
     """
     _require_step(dz)
-    transfer = _transfer(field.side, field.extent, field.wavelength, dz,
-                         band_limited)
+    transfer = _transfer(field.side, field.extent, field.wavelength, dz)
     samples = field.samples
     grid = _target(samples, out)
 
@@ -273,15 +263,15 @@ def propagate(field: ScalarField, dz: float, band_limited: bool = True,
 
 def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     """Field at z + dz of a field given by its band-limited spectrum: the box
-    times the (band-limited) H over the box's bins, scattered into an empty
-    grid, and one inverse FFT.  It equals ``propagate`` of the spectrum's
-    field, without the forward FFT.  H is built over the box alone, with
-    the cached quadrant's formula, and not cached."""
+    times H over the box's bins, scattered into a zeroed grid, and one
+    inverse FFT.  It equals ``propagate`` of the spectrum's field, without
+    the forward FFT.  H is built over the box alone, with the cached
+    quadrant's formula, and not cached."""
     _require_step(dz)
     side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
     f = _frequencies(side, extent)[np.minimum(spectrum.bins,
                                               side - spectrum.bins)]
-    box = _transfer_block(f, f, lam, dz, _band_limit(extent, lam, dz))
+    box = _transfer_block(f, f, extent, lam, dz)
     # The bits of a complex product depend on the operands' order, so the
     # order is written out: H times the values, in H's box.
     return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz)
@@ -304,34 +294,25 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
              dz: float) -> ScalarField:
     """The field whose spectrum is ``values`` on the box of ``spectrum``.
 
-    All in the new grid: the inverse along axis 0 runs on the box's columns
-    only, each run of them zeroed and given its part of ``values`` first;
-    the other columns are zero and stay zero.  The inverse along axis 1
-    then runs on every row, each row range's other columns zeroed first.
-    ``ifft2`` makes the same two passes in the same order, and its
-    1/side**2 scale, taken here as 1/side per pass, is a power of two (a
-    ``ScalarField`` side is one), so the samples are bit for bit those of
-    ``ifft2``."""
+    ``values`` is scattered into the new, zeroed grid; the inverse along
+    axis 0 then runs on the box's columns only, one run of consecutive
+    columns at a time, since the other columns are zero and stay zero, and
+    the inverse along axis 1 on every row.  ``ifft2`` makes the same two
+    passes in the same order, and its 1/side**2 scale, taken here as
+    1/side per pass, is a power of two (a ``ScalarField`` side is one), so
+    the samples are bit for bit those of ``ifft2``."""
     side, bins = spectrum.side, spectrum.bins
     columns = np.sort(bins)
-    at = np.empty(side, dtype=np.intp)   # column bin -> column of values
-    at[bins] = np.arange(len(bins))
-    free = np.ones(side, dtype=bool)
-    free[bins] = False
-    gaps = _runs(np.flatnonzero(free))
     grid = _grid(side)
+    grid[np.ix_(bins, bins)] = values
 
     def box_columns(lo, hi):
         for a, b in _runs(columns[lo:hi]):
             block = grid[:, a:b]
-            block[...] = 0
-            block[bins] = values[:, at[a:b]]
             fft.ifft(block, axis=0, out=block)
 
     def rows(lo, hi):
         block = grid[lo:hi]
-        for a, b in gaps:
-            block[:, a:b] = 0
         fft.ifft(block, axis=1, out=block)
 
     _split(len(columns), box_columns)
@@ -383,10 +364,11 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
 
 
 def _absorb_edges(samples: np.ndarray, margin: float) -> None:
-    """Taper the outer ``margin`` of the grid in place: a raised-cosine ramp
-    along the rows, then along the columns, split over row ranges.  The
-    window is 1 inside the margin, so only the border strips are
-    touched."""
+    """Taper the outer ``margin`` of the grid in place, on the calling
+    thread: a raised-cosine ramp on the top and bottom rows, then on the
+    left and right columns, so each sample is multiplied by its row's
+    weight, then by its column's.  The window is 1 inside the margin, so
+    only the border strips are touched."""
     n = samples.shape[0]
     m = max(2, int(margin * n))
     w = np.ones(n)
@@ -394,15 +376,10 @@ def _absorb_edges(samples: np.ndarray, margin: float) -> None:
     w[:m] = ramp
     w[n - m:] = ramp[::-1]
     m = min(m, n // 2)   # strips meet, not overlap, when the margin is wide
-
-    def rows(lo, hi):
-        for strip in (slice(lo, min(hi, m)), slice(max(lo, n - m), hi)):
-            samples[strip] *= w[strip, None]
-        block = samples[lo:hi]
-        block[:, :m] *= w[:m]
-        block[:, n - m:] *= w[n - m:]
-
-    _split(n, rows)
+    samples[:m] *= w[:m, None]
+    samples[n - m:] *= w[n - m:, None]
+    samples[:, :m] *= w[:m]
+    samples[:, n - m:] *= w[n - m:]
 
 
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
@@ -469,18 +446,18 @@ class ObstructionMask:
 
 
 def apply_mask(field: ScalarField, mask: ObstructionMask,
-               atol: float = 1e-9,
                out: np.ndarray | None = None) -> ScalarField:
-    """Pointwise multiply the field by the mask's transmittance map.
+    """Pointwise multiply the field by the mask's transmittance map; the
+    mask's plane must be the field's to within 1e-9 m.
 
     The map is built, and multiplied, only over the box of rows and columns
     the shape reaches; it is 1 outside.  The rest of the grid is multiplied
-    by 1, not copied: the complex product clears the sign of some zero
-    components (the edge taper leaves exact zeros), and the masked field
-    keeps the bits of the full-map product.  That multiply is split over
-    row ranges (``_split``).  The result is written to ``out`` if given,
-    else to a new grid; ``out=field.samples`` masks the field in place."""
-    if abs(mask.z_position - field.z_position) > atol:
+    by 1 on the calling thread, not copied: the complex product clears the
+    sign of some zero components (the edge taper leaves exact zeros), and
+    the masked field keeps the bits of the full-map product.  ``out`` is
+    None, for a new grid, or ``field.samples``, which masks the field in
+    place."""
+    if abs(mask.z_position - field.z_position) > 1e-9:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
     samples = field.samples
@@ -494,8 +471,7 @@ def apply_mask(field: ScalarField, mask: ObstructionMask,
     # be the samples, is written
     product = None if box is None \
         else samples[box] * mask._map(dx[box[1]], dy[box[0]])
-    _split(field.side, lambda lo, hi: np.multiply(samples[lo:hi], 1.0,
-                                                  out=grid[lo:hi]))
+    np.multiply(samples, 1.0, out=grid)
     if box is not None:
         grid[box] = product
     return field.with_samples(grid)
@@ -518,7 +494,7 @@ def advance_beams(source: ScalarField | FieldSpectrum,
     for longer copies it.  The walk never writes ``source``.
 
     The beams step one after the other on the calling thread, the clear
-    one first, each step split over every core (``_split``).
+    one first, each step's FFT passes split over every core (``_split``).
     """
     z_planes = list(z_planes)
     if any(b <= a for a, b in zip(z_planes, z_planes[1:])):

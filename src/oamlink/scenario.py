@@ -128,7 +128,10 @@ def validate_config(cfg: dict) -> dict:
                                   f"{MAX_ORDER}")
             if key not in base and prefix != "ring_radii_m.":
                 raise ConfigError(f"{prefix}{key}", "unknown field")
-            if isinstance(base.get(key), dict) and isinstance(value, dict):
+            if isinstance(base.get(key), dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(prefix + key, f"expected an object, "
+                                      f"got {type(value).__name__}")
                 deep_merge(base[key], value, prefix + key + ".")
             else:
                 base[key] = value
@@ -185,6 +188,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("link.rf_hz", "must be positive")
     if link["num_modes"] < 2:
         raise ConfigError("link.num_modes", "must be at least 2")
+    if not link["rx_spacing_m"] > 0:
+        raise ConfigError("link.rx_spacing_m", "must be positive")
     if not 0 < link["bandwidth_hz"] < link["digital_if_hz"]:
         raise ConfigError("link.bandwidth_hz", f"must be positive and below "
                                                f"link.digital_if_hz "
@@ -193,8 +198,6 @@ def validate_config(cfg: dict) -> dict:
     side = grid["side"]
     if side < 64 or side & (side - 1):
         raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
-    if not grid["extent_m"] > 0:
-        raise ConfigError("grid.extent_m", "must be positive")
     if not grid["max_step_m"] > 0:
         raise ConfigError("grid.max_step_m", "must be positive")
     if not 0 < grid["theta_max_deg"] < 90:
@@ -251,6 +254,21 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("healing.z_samples_m",
                           f"must be a non-empty, strictly increasing list of "
                           f"planes in ({z_min:g}, {distance:g}] m, got {planes!r}")
+    bound = max_beam_radius(_link_budget(merged))
+    if not 0 < link["beam_radius_m"] < bound:
+        raise ConfigError("link.beam_radius_m", f"must lie in (0, d*F/(2B)) = "
+                                                f"(0, {bound:g}) m")
+    extent = grid["extent_m"]
+    for order in merged["modes"]:
+        radius = ring_radius_for(merged, order)
+        if extent < 4.0 * radius:   # also a grid.extent_m <= 0
+            raise ConfigError("grid.extent_m", f"must be at least 4x the ring "
+                              f"radius, {radius:g} m for order {order}")
+    # the test sample_points holds the antennas to
+    at = rx_positions_from(merged) / (extent / side) + side // 2
+    for axis, path in ((1, "receiver.theta_deg"), (0, "receiver.spacing_m")):
+        if not np.all((at[:, axis] >= 0) & (at[:, axis] <= side - 1)):
+            raise ConfigError(path, f"puts an antenna off the {extent:g} m grid")
     return merged
 
 
@@ -393,16 +411,21 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
                           metrics=report, fields=fields)
 
 
+def _link_budget(cfg: dict) -> LinkBudget:
+    link = cfg["link"]
+    return LinkBudget(bandwidth_B=link["bandwidth_hz"],
+                      num_modes_K=link["num_modes"],
+                      link_distance_L=link["distance_m"],
+                      rx_spacing_d=link["rx_spacing_m"],
+                      digital_if_F=link["digital_if_hz"],
+                      rf_frequency=link["rf_hz"])
+
+
 def link_plan(cfg: dict) -> dict:
     """Derived link geometry of a validated config, as ``oamlink plan``
     writes it and ``report.json`` carries it."""
     link = cfg["link"]
-    budget = LinkBudget(bandwidth_B=link["bandwidth_hz"],
-                        num_modes_K=link["num_modes"],
-                        link_distance_L=link["distance_m"],
-                        rx_spacing_d=link["rx_spacing_m"],
-                        digital_if_F=link["digital_if_hz"],
-                        rf_frequency=link["rf_hz"])
+    budget = _link_budget(cfg)
     derived = derive_link(budget, link["beam_radius_m"],
                           wavelength=link["wavelength_override_m"])
     return {

@@ -124,40 +124,37 @@ def _unfold(quadrant, side):
     return quadrant[np.ix_(fold, fold)]
 
 
-def _transfer_from_formula(f, dz, band_limited=True):
+def _transfer_from_formula(f, dz):
     """H written out from the module docstring's formula on meshgrid planes."""
     fx = np.fft.fftfreq(f.side, d=f.spacing)
     FX, FY = np.meshgrid(fx, fx)
     kz_sq = 1.0 / f.wavelength ** 2 - FX ** 2 - FY ** 2
-    keep = kz_sq > 0
-    if band_limited:
-        f_lim = _band_limit(f.extent, f.wavelength, dz)
-        keep &= (np.abs(FX) <= f_lim) & (np.abs(FY) <= f_lim)
+    f_lim = _band_limit(f.extent, f.wavelength, dz)
+    keep = (kz_sq > 0) & (np.abs(FX) <= f_lim) & (np.abs(FY) <= f_lim)
     phase = 2 * np.pi * dz * np.sqrt(np.where(keep, kz_sq, 0.0))
     return np.where(keep, np.exp(1j * phase), 0.0)
 
 
-@pytest.mark.parametrize("band_limited", [True, False])
-def test_cached_transfer_matches_formula(band_limited):
+def test_cached_transfer_matches_formula():
     # 2 mm spacing: 1/lambda lies inside the grid band, so both the
     # evanescent cut and (for long steps) the band limit are exercised
     f = _bandlimited_field(extent=0.128, sin_max=0.3, sigma=0.01)
     for dz in (0.5, 3.0):
-        ref = _transfer_from_formula(f, dz, band_limited)
+        ref = _transfer_from_formula(f, dz)
         for _ in range(2):   # build, then cache hit
-            g = propagate(f, dz, band_limited=band_limited)
+            g = propagate(f, dz)
             expected = np.fft.ifft2(np.fft.fft2(f.samples) * ref)
             assert np.max(np.abs(g.samples - expected)) \
                 <= 1e-12 * np.max(np.abs(expected))
         transfer = _unfold(_transfer_function(
-            f.side, f.extent, f.wavelength, dz, band_limited), f.side)
+            f.side, f.extent, f.wavelength, dz), f.side)
         assert np.array_equal(transfer != 0, ref != 0)
         assert np.max(np.abs(transfer - ref)) <= 1e-12
 
 
 def test_cached_transfer_is_read_only():
     f = _bandlimited_field()
-    transfer = _transfer_function(f.side, f.extent, f.wavelength, 0.5, True)
+    transfer = _transfer_function(f.side, f.extent, f.wavelength, 0.5)
     with pytest.raises(ValueError):
         transfer[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -172,15 +169,13 @@ def test_cache_keys_on_step_and_band_limit():
     assert _transfer_function.cache_info().currsize == 1
     assert _transfer_function.cache_info().hits == 1
     propagate(f, 3.0)
-    propagate(f, 3.0, band_limited=False)
-    assert _transfer_function.cache_info().currsize == 3
+    assert _transfer_function.cache_info().currsize == 2
     key = (f.side, f.extent, f.wavelength)
-    h_short = _transfer_function(*key, 0.5, True)
-    h_long = _transfer_function(*key, 3.0, True)
-    h_open = _transfer_function(*key, 3.0, False)
+    h_short = _transfer_function(*key, 0.5)
+    h_long = _transfer_function(*key, 3.0)
     assert not np.array_equal(h_short, h_long)
-    # a long step clips the band; without the limit more components survive
-    assert np.count_nonzero(h_open) > np.count_nonzero(h_long)
+    # the band limit follows the step: a long step clips more of the band
+    assert np.count_nonzero(h_short) > np.count_nonzero(h_long)
 
 
 def test_cache_stays_within_its_bound():
@@ -312,15 +307,13 @@ def test_launch_matches_the_synthesized_source_path(order, side):
         launch(spectrum, 0.0)
 
 
-def _full_grid_transfer(side, extent, wavelength, dz, band_limited):
+def _full_grid_transfer(side, extent, wavelength, dz):
     """The transfer function built over every bin of the grid."""
     fx = np.fft.fftfreq(side, d=extent / side)
     fx2 = fx * fx
     kz_sq = 1.0 / wavelength ** 2 - fx2[None, :] - fx2[:, None]
-    keep = kz_sq > 0
-    if band_limited:
-        in_band = np.abs(fx) <= _band_limit(extent, wavelength, dz)
-        keep &= in_band[None, :] & in_band[:, None]
+    in_band = np.abs(fx) <= _band_limit(extent, wavelength, dz)
+    keep = (kz_sq > 0) & in_band[None, :] & in_band[:, None]
     phase = np.maximum(kz_sq, 0.0, out=kz_sq)
     np.sqrt(phase, out=phase)
     phase *= 2.0 * np.pi
@@ -332,11 +325,10 @@ def _full_grid_transfer(side, extent, wavelength, dz, band_limited):
 
 
 @pytest.mark.parametrize("side", [64, 65])
-@pytest.mark.parametrize("band_limited", [True, False])
-def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
+def test_quadrant_transfer_equals_the_full_grid_build(side):
     # 2 mm spacing and a 5 cm step: the band limit (74 /m) lies inside the
     # evanescent cut (93 /m), which lies inside the grid's band (250 /m)
-    key = (side, 0.002 * side, 0.0107, 0.05, band_limited)
+    key = (side, 0.002 * side, 0.0107, 0.05)
     transfer = _unfold(_transfer_function(*key), side)
     keep = transfer != 0
     ref_transfer, ref_keep = _full_grid_transfer(*key)
@@ -347,7 +339,7 @@ def test_quadrant_transfer_equals_the_full_grid_build(side, band_limited):
 
 @pytest.mark.parametrize("side", [64, 65, 1024])
 def test_transfer_cache_entry_holds_one_quadrant(side):
-    key = (side, 0.002 * side, 0.0107, 0.05, True)
+    key = (side, 0.002 * side, 0.0107, 0.05)
     transfer = _transfer_function(*key)
     assert transfer.shape == (side // 2 + 1, side // 2 + 1)
     assert transfer.nbytes <= (side // 2 + 1) ** 2 * 16
@@ -394,18 +386,19 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
         stepped = call(mine, out=grid)
         assert stepped.samples is grid
         assert np.array_equal(_bits(grid), _bits(ref))
-        # in a separate grid, the field not written
-        grid = np.empty((side, side), dtype=complex)
-        assert call(field, out=grid).samples is grid
-        assert np.array_equal(_bits(grid), _bits(ref))
+        # without out the field is not written
         assert np.array_equal(_bits(field.samples), _bits(before))
 
 
-def test_out_must_be_a_grid_of_the_field_or_apart_from_it():
+def test_out_must_be_the_fields_own_samples():
     f = _own(_bandlimited_field())
+    before = f.samples.copy()
     mask = ObstructionMask("disk", 0.1, 0.0, (0.2,), 0.0)
     for out in (np.empty((32, 32), dtype=complex),
                 np.empty((64, 64), dtype=np.complex64),
+                np.empty((64, 64), dtype=complex),   # a separate grid
+                f.samples.copy(),                # equal, but not the samples
+                f.samples[:],                    # a view of all of them
                 f.samples[::-1],                 # overlaps the samples
                 f.samples.base[:, 1:65]):        # shifted by one column
         with pytest.raises(GeometryError):
@@ -414,6 +407,7 @@ def test_out_must_be_a_grid_of_the_field_or_apart_from_it():
             propagate_to(f, 0.5, out=out)
         with pytest.raises(GeometryError):
             apply_mask(f, mask, out=out)
+        assert np.array_equal(_bits(f.samples), _bits(before))
     # a launch writes a new grid: out takes a sampled field's grid only
     spectrum = source_spectrum(SourceRing(0.149, 238, 2), 64, 12.0, 0.0107,
                                math.radians(5.0))
@@ -423,7 +417,7 @@ def test_out_must_be_a_grid_of_the_field_or_apart_from_it():
 
 def test_threads_that_miss_a_key_together_build_it_once():
     # more threads than cores, switching often, all asking for one cold key
-    key = (64, 0.128, 0.0107, 0.5, True)
+    key = (64, 0.128, 0.0107, 0.5)
     _transfer_function.cache_clear()
     start = threading.Barrier(8)
     got = []
@@ -502,7 +496,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
     spectrum = source_spectrum(ring, side, 12.0, lam, theta)
     values = spectrum.values.copy()
     launched = launch(spectrum, 10.0)
-    transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0, True), side)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 10.0), side)
     grid = np.zeros((side, side), dtype=complex)
     box = np.ix_(spectrum.bins, spectrum.bins)
     grid[box] = np.multiply(transfer[box], spectrum.values)
@@ -524,7 +518,7 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
 
     before = masked.samples.copy()
     stepped = propagate(masked, 4.0)
-    transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0, True), side)
+    transfer = _unfold(_transfer_function(side, 12.0, lam, 4.0), side)
     ref = scipy_fft.fft2(before) * transfer
     ref = scipy_fft.ifft2(ref)
     assert np.array_equal(_bits(stepped.samples), _bits(ref))
@@ -538,6 +532,8 @@ def test_grid_rows_are_an_odd_number_of_cache_lines(side):
     assert grid.shape == (side, side)
     assert grid.strides[0] % 64 == 0
     assert grid.strides[0] // 64 % 2 == 1
+    # zeroed, padding included: a launch writes only its box of bins
+    assert not np.any(grid.base)
 
 
 def test_mask_validation():

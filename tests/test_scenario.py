@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oamlink import (SourceRing, apply_mask, default_config, propagate_to,
-                     run_experiment, run_scenario, scenario_from_config,
-                     source_spectrum, validate_config)
+from oamlink import (ScalarField, SourceRing, apply_mask, default_config,
+                     propagate_to, run_experiment, run_scenario,
+                     sample_points, scenario_from_config, source_spectrum,
+                     validate_config)
 from oamlink.beams import synthesize_source_field
 from oamlink.cli import main
-from oamlink.errors import ChannelError, ConfigError, OamLinkError
+from oamlink.errors import (ChannelError, ConfigError, OamLinkError,
+                            OutOfExtentError)
 from oamlink.propagation import angular_bandlimit
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               rx_positions_from, wavelength_from)
@@ -229,6 +231,15 @@ def test_z_samples_bound_follows_the_mask():
     ({"link": {"num_modes": 1}}, "link.num_modes"),
     ({"link": {"bandwidth_hz": 2e9}}, "link.bandwidth_hz"),
     ({"ring_elements": 4}, "ring_elements"),
+    # link fields the link plan rejects, a section that is not an object,
+    # and geometry the grid cannot hold: a receiver row or span off the grid
+    # and a grid too small for a ring of modes
+    ({"link": {"rx_spacing_m": 0.0}}, "link.rx_spacing_m"),
+    ({"link": {"beam_radius_m": 10.0}}, "link.beam_radius_m"),
+    ({"grid": 5}, "grid"),
+    ({"receiver": {"theta_deg": 20.0}}, "receiver.theta_deg"),
+    ({"receiver": {"spacing_m": 5.0}}, "receiver.spacing_m"),
+    ({"grid": {"extent_m": 0.5}}, "grid.extent_m"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -238,13 +249,38 @@ def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # geometry), a run with no mask applied (NaN mask centre), a
     # ValueError from the taper (a margin past the whole grid), an
     # unlabelled GeometryError from the link plan (one mode, a bandwidth
-    # past the IF) or a NyquistError at synthesis (too few ring elements)
+    # past the IF) or a NyquistError at synthesis (too few ring elements);
+    # the last six ended in a GeometryError from the link plan, a section's
+    # first key reported missing, an OutOfExtentError at sampling after the
+    # whole walk, or a GeometryError at synthesis
     assert _config_error_field(override) == field
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(override))
     assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
                  "--out", str(tmp_path)]) == 1
-    assert field in capsys.readouterr().err
+    assert f"config field '{field}':" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("receiver", [
+    {"theta_deg": 6.84}, {"theta_deg": 6.85},      # the row at y = -6 m
+    {"theta_deg": -6.63}, {"theta_deg": -6.64},    # at y = +5.8125 m
+    {"spacing_m": 3.87}, {"spacing_m": 3.88}])     # x = -1.5 s at -5.8125 m
+def test_receiver_check_agrees_with_sampling(receiver):
+    # on a 64^2 grid over 12 m the samples span -6 .. 5.8125 m; a receiver
+    # passes the config boundary exactly when sample_points takes it
+    cfg = default_config()
+    cfg["grid"]["side"] = 64
+    cfg["receiver"].update(receiver)
+    grid = ScalarField(np.zeros((64, 64), dtype=complex), 12.0, 50.0, 0.0107)
+    try:
+        sample_points(grid, rx_positions_from(cfg))
+        sampled = True
+    except OutOfExtentError:
+        sampled = False
+    if sampled:
+        assert validate_config(cfg)
+    else:
+        assert _config_error_field(cfg) == "receiver." + next(iter(receiver))
 
 
 def test_a_ring_radius_for_any_order():
@@ -268,6 +304,13 @@ def test_limits_of_the_boundary_checks():
     assert validate_config({"obstruction": {"enabled": False,
                                             "shape": "sphere",
                                             "width_m": 0.0}})
+    # the beam radius stays below d*F/(2B), 4.9152 m, which the error gives
+    assert validate_config({"link": {"beam_radius_m": 4.9}})
+    with pytest.raises(ConfigError, match=r"\(0, 4\.9152\) m"):
+        validate_config({"link": {"beam_radius_m": 4.9152}})
+    # a grid exactly 4x the largest ring radius (0.218 m, order 4) holds it
+    assert validate_config({"grid": {"extent_m": 4 * 0.218},
+                            "receiver": {"theta_deg": 0.0, "spacing_m": 0.1}})
 
 
 @pytest.mark.parametrize("symbols", [1023, 64, 0, -2048])
@@ -538,8 +581,13 @@ def test_cli_seed_and_grid_overrides(tmp_path):
 
 
 def test_stage_labels_are_prefixed():
-    # a ring that cannot fit the requested grid fails in the synthesis stage
-    cfg = _small_cfg(ring_radii_m={"2": 10.0, "4": 0.218})
+    # a ring that cannot fit the requested grid fails at the config
+    # boundary; set in a validated config, it fails in the synthesis stage
+    assert _config_error_field({"grid": {"side": 128, "extent_m": 2.0},
+                                "ring_radii_m": {"2": 10.0}}) \
+        == "grid.extent_m"
+    cfg = _small_cfg()
+    cfg["ring_radii_m"]["2"] = 10.0
     s = scenario_from_config(cfg, 2, obstructed=False)
     with pytest.raises(OamLinkError) as err:
         run_scenario(s)
@@ -550,10 +598,19 @@ def test_stage_labels_are_prefixed():
     assert str(err.value).startswith("[synthesis]")
 
 
-def test_experiment_errors_carry_stage_labels():
-    cfg = _small_cfg(ring_radii_m={"2": 10.0})
-    with pytest.raises(OamLinkError) as err:
-        run_experiment(cfg)
+def test_experiment_errors_carry_stage_labels(monkeypatch):
+    # run_experiment validates its config, so a ring too large for the grid
+    # no longer reaches synthesis; an error raised there is labelled
+    from oamlink import scenario
+    from oamlink.errors import GeometryError
+
+    def failing_synthesis(*args, **kwargs):
+        raise GeometryError("grid extent must be at least 4x the ring radius")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "source_spectrum", failing_synthesis)
+        with pytest.raises(OamLinkError) as err:
+            run_experiment(_small_cfg())
     assert str(err.value).startswith("[synthesis]")
     assert err.value.stage == "synthesis"
     # a mask over the whole grid leaves nothing to analyse at the planes
