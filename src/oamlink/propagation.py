@@ -57,11 +57,11 @@ affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
 setting.  The calling thread runs the first range and helper threads
 (``_part_pool``, started on first use) the others.  The edge taper of
 ``propagate_to``, the mask's multiply and the launch's scatter are
-memory-bound, run no faster split, and run on the calling thread.  The
-beams of a walk step one after the other.  Every FFT runs on one thread
-and releases the GIL.  The 1-D transforms are independent and the
-inverse's 1/side per pass is a power of two, so the output is bit for bit
-that of ``ifft2(fft2(field) * H)`` whatever the count.
+memory-bound (in place at 1024^2 on 2 cores, no faster split) and run on
+the calling thread.  The beams step one after the other.  Each FFT runs
+on one thread and releases the GIL.  The 1-D transforms are independent
+and the inverse's 1/side per pass is a power of two, so the output is bit
+for bit that of ``ifft2(fft2(field) * H)`` whatever the count.
 """
 
 from __future__ import annotations
