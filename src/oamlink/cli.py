@@ -27,14 +27,14 @@ def _load_config(path):
     return validate_config(cfg)
 
 
-def _apply_overrides(cfg, args):
+def _apply_overrides(cfg, args, orders=None):
     if getattr(args, "seed", None) is not None:
         cfg["rx"]["noise_seed"] = args.seed
     if getattr(args, "grid", None) is not None:
         cfg["grid"]["side"] = args.grid
     if getattr(args, "snr_db", None) is not None:
         cfg["rx"]["snr_db"] = args.snr_db
-    return validate_config(cfg)
+    return validate_config(cfg, orders)
 
 
 def _out_dir(args) -> Path:
@@ -51,7 +51,7 @@ def cmd_plan(args):
 
 
 def cmd_simulate(args):
-    cfg = _apply_overrides(_load_config(args.config), args)
+    cfg = _apply_overrides(_load_config(args.config), args, [args.mode])
     out = _out_dir(args)
     s = scenario_from_config(cfg, args.mode, obstructed=not args.clear,
                              h_scale=None)

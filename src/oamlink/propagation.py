@@ -24,7 +24,7 @@ band-limited spectrum (``FieldSpectrum``, e.g. the source from
 ``beams.source_spectrum``) takes its first step as a ``launch``: the
 spectrum's box of bins times H and one inverse FFT, with no forward FFT,
 into a new grid.  The launch builds H over its box alone (195^2 bins at
-1024^2, against the 513^2 of a cached quadrant) and caches none.  The
+1024^2, against the 513^2 of a held quadrant) and holds none.  The
 inverse (``_inverse``) scatters the box into the new grid, which is
 zeroed, and runs the inverse along the columns only on the box's columns,
 each run of consecutive bins in place (a source spectrum's box has two),
@@ -36,16 +36,20 @@ side/4 + 3, 259 at 1024^2.  With an even number of lines the samples of a
 column map to half of the cache sets or fewer (to one with a power-of-two
 stride), and the transforms along the columns thrash.
 
-H depends only on (side, extent, wavelength, dz), so a step builds it
-once per key and keeps it, read-only, in a least-recently-used cache of
-``_TRANSFER_CACHE_SIZE`` = 4 entries; the default experiment's steps use
-three (its hops of 1, 4 and 5 m).  H is even in fx and in fy, so an entry
-holds only the quadrant of bins 0..side//2 of H,
+H depends only on (side, extent, wavelength, dz).  H is even in fx and
+in fy, so a step needs only the quadrant of bins 0..side//2 of H,
 ``(side//2 + 1)**2 * 16`` bytes (4.0 MiB at 1024^2); bin i of the grid
 reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
-A build runs ``_BUILD_ROWS`` rows at a time, so its temporaries are one
-block's.  Builds are single-flight: the cache is reached under a lock
-(``_transfer``), so two threads that miss a key at once build it once.
+The process holds one quadrant, read-only: the last step's (``_HELD``,
+reached through ``_transfer``).  A step with the same key reads it; a
+step with another key frees it and then builds its own, so no more than
+one quadrant is alive, even during a build.  A walk whose hop lengths
+alternate rebuilds them (the default experiment builds its 1, 4 and 5 m
+quadrants once per order, six builds of 9-15 ms each at 1024^2), and a
+rebuilt quadrant has the bits of the first.  A build runs
+``_BUILD_ROWS`` rows at a time, so its temporaries are one block's.
+Builds are single-flight: ``_transfer`` runs under a lock, so two threads
+that miss a key at once build it once.
 
 Only the FFT passes use threads.  A step runs as passes over the grid
 with a barrier between them: the copy, unless the step is in place, and
@@ -79,12 +83,12 @@ from numpy import fft
 from .errors import GeometryError, OutOfExtentError, PlaneMismatchError
 from .field import FieldSpectrum, ScalarField
 
-_TRANSFER_CACHE_SIZE = 4
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
 _GRID_PAD = 12
 _BUILD_ROWS = 64
 _TRANSFER_LOCK = threading.Lock()
+_HELD = {}   # the quadrant of H the last step read, by key: one entry at most
 
 
 @functools.cache
@@ -163,12 +167,11 @@ def _transfer_block(fy: np.ndarray, fx: np.ndarray, extent: float,
     return out
 
 
-@functools.lru_cache(maxsize=_TRANSFER_CACHE_SIZE)
 def _transfer_function(side: int, extent: float, wavelength: float,
                        dz: float) -> np.ndarray:
-    """The read-only quadrant of H for one step, over bins 0..side//2 of
+    """A new, read-only quadrant of H for one step, over bins 0..side//2 of
     each axis (``_transfer_block``), built ``_BUILD_ROWS`` rows at a time.
-    Reach it through ``_transfer``.
+    Steps reach it through ``_transfer``.
 
     Bins i and side - i hold frequencies of opposite sign and equal
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
@@ -185,11 +188,19 @@ def _transfer_function(side: int, extent: float, wavelength: float,
 
 def _transfer(side: int, extent: float, wavelength: float,
               dz: float) -> np.ndarray:
-    """The cached quadrant of H for one step.  Threads that miss a key at
-    the same time build it once: the first builds, the others wait for it
-    and hit."""
+    """The quadrant of H for one step: the held one if its key matches,
+    else a new build, which replaces it.  The held quadrant is dropped
+    before the build starts, so the two are never alive together (unless a
+    caller still holds the old one).  Threads that miss a key at the same
+    time build it once: the first builds, the others wait on the lock and
+    read it."""
+    key = (side, extent, wavelength, dz)
     with _TRANSFER_LOCK:
-        return _transfer_function(side, extent, wavelength, dz)
+        transfer = _HELD.get(key)
+        if transfer is None:
+            _HELD.clear()
+            transfer = _HELD[key] = _transfer_function(*key)
+        return transfer
 
 
 def _mirror(side: int, h: int, lo: int, hi: int):
@@ -265,8 +276,8 @@ def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     """Field at z + dz of a field given by its band-limited spectrum: the box
     times H over the box's bins, scattered into a zeroed grid, and one
     inverse FFT.  It equals ``propagate`` of the spectrum's field, without
-    the forward FFT.  H is built over the box alone, with the cached
-    quadrant's formula, and not cached."""
+    the forward FFT.  H is built over the box alone, with the quadrant's
+    formula, and not held: the held quadrant stays as it was."""
     _require_step(dz)
     side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
     f = _frequencies(side, extent)[np.minimum(spectrum.bins,

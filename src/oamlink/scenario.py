@@ -113,8 +113,13 @@ def _positive_number(value) -> bool:
         and 0 < value < math.inf
 
 
-def validate_config(cfg: dict) -> dict:
-    """Fill a user config over the defaults and type-check the result."""
+def validate_config(cfg: dict, orders=None) -> dict:
+    """Fill a user config over the defaults and type-check the result.
+
+    ``orders`` are OAM orders a run takes besides those in ``modes`` (as
+    ``oamlink simulate --mode`` does); the checks that depend on an order,
+    ``ring_elements`` and the ring radius against ``grid.extent_m``, cover
+    them too."""
     if cfg is not None and not isinstance(cfg, dict):
         raise ConfigError("(top level)", f"expected an object of config "
                                          f"sections, got {type(cfg).__name__}")
@@ -180,9 +185,11 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("modes", f"each order must be a nonzero integer "
                                        f"with |l| <= {MAX_ORDER}, got {order!r}")
     max_order = max(abs(order) for order in merged["modes"])
-    if merged["ring_elements"] <= 2 * max_order:
-        raise ConfigError("ring_elements", f"must exceed 2|l| = {2 * max_order} "
-                                           f"to carry every order in modes")
+    carried = list(merged["modes"]) + list(orders or [])
+    widest = max(abs(order) for order in carried)
+    if merged["ring_elements"] <= 2 * widest:
+        raise ConfigError("ring_elements", f"must exceed 2|l| = {2 * widest} "
+                                           f"to carry every order of the run")
     link = merged["link"]
     if not link["rf_hz"] > 0:
         raise ConfigError("link.rf_hz", "must be positive")
@@ -259,7 +266,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("link.beam_radius_m", f"must lie in (0, d*F/(2B)) = "
                                                 f"(0, {bound:g}) m")
     extent = grid["extent_m"]
-    for order in merged["modes"]:
+    for order in carried:
         radius = ring_radius_for(merged, order)
         if extent < 4.0 * radius:   # also a grid.extent_m <= 0
             raise ConfigError("grid.extent_m", f"must be at least 4x the ring "

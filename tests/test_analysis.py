@@ -16,9 +16,10 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import GeometryError, NyquistError
 from oamlink.propagation import (advance_beams, propagate_to, sample_points,
-                                 _GRID_PAD, _transfer_function)
+                                 _GRID_PAD)
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               wavelength_from)
+from tests.test_propagation import _count_builds
 
 
 def _ring_field(side=2048, extent=4.0, ring=1.9, width=0.1, modes=((2, 1.0),),
@@ -162,8 +163,14 @@ def _full_grid_similarity(obstructed, clear, annulus):
     (1.0, 2.5),        # r_out beyond the grid edge
     (0.0, 3.5),        # r_out beyond the grid corner: the whole grid
     (0.99, 1.01),      # thin annulus
+    (0.2, 0.5),        # a box of 65 rows: a block and one row
+    (0.1, 0.45),       # a box of 57 rows: less than one block
+    (1.6, 1.99),       # a box of 255 rows: three blocks and 63 rows
 ])
 def test_similarity_matches_full_grid_reference(annulus):
+    # the box of the first five spans 193, 129, 256, 256 and 129 rows:
+    # field_similarity sums 64 rows at a time, so only the order of the
+    # sums differs from the reference's, by a few units in the last place
     side, extent = 256, 4.0
     c = (np.arange(side) - side // 2) * (extent / side)
     X, Y = np.meshgrid(c, c)
@@ -174,8 +181,9 @@ def test_similarity_matches_full_grid_reference(annulus):
     noise = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
     a = ScalarField(beam, extent, 0.0, 0.0107)
     b = a.with_samples(beam + 0.3 * noise)
-    assert field_similarity(b, a, annulus) == _full_grid_similarity(b, a, annulus)
-    assert field_similarity(a, b, annulus) == _full_grid_similarity(a, b, annulus)
+    for u, v in ((b, a), (a, b)):
+        assert field_similarity(u, v, annulus) == pytest.approx(
+            _full_grid_similarity(u, v, annulus), rel=1e-13, abs=0)
 
 
 def test_similarity_annulus_off_the_grid_has_no_power():
@@ -278,11 +286,12 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
 def _peak_grids(run, side, cold=False):
     """The peak memory a second call of ``run`` allocates, in grids of
     ``side * (side + _GRID_PAD)`` complex128 samples.  The first call fills
-    the transfer-function cache and starts the helper threads; ``cold``
-    empties the cache before the second call, so its builds count."""
+    the held transfer-function quadrant and starts the helper threads;
+    ``cold`` drops the quadrant before the second call, so every build
+    counts."""
     run()
     if cold:
-        _transfer_function.cache_clear()
+        propagation._HELD.clear()
     tracemalloc.start()
     try:
         run()
@@ -292,23 +301,36 @@ def _peak_grids(run, side, cold=False):
     return peak / (side * (side + _GRID_PAD) * 16)
 
 
-def _default_walk(side):
-    """A call that walks the default experiment's order-2 beams on a
-    ``side``^2 grid to the end, as ``run_experiment`` does: the launch to
-    the mask at 10 m, then hops of 1, 4 and 5 m."""
+def _default_walk(side, orders=(2,), healing=False):
+    """A call that walks the default experiment's beams of each of
+    ``orders`` on a ``side``^2 grid to the end, one order after the other,
+    as ``run_experiment`` does: the launch to the mask at 10 m, then hops
+    of 1, 4 and 5 m.  With ``healing`` every plane is added to the order's
+    healing curve."""
     cfg = validate_config({"grid": {"side": side}})
     grid = cfg["grid"]
-    ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
-                      num_elements_N=cfg["ring_elements"], order_l=2)
-    source = source_spectrum(ring, side, grid["extent_m"],
-                             wavelength_from(cfg),
-                             math.radians(grid["theta_max_deg"]))
+    sources = {}
+    for l in orders:
+        ring = SourceRing(radius_r=ring_radius_for(cfg, l),
+                          num_elements_N=cfg["ring_elements"], order_l=l)
+        sources[l] = source_spectrum(ring, side, grid["extent_m"],
+                                     wavelength_from(cfg),
+                                     math.radians(grid["theta_max_deg"]))
     planes = cfg["healing"]["z_samples_m"]   # 11, 15, 20, ..., 50 m
 
+    def one_order(l):
+        # like _run_order, its beams are gone when it returns
+        curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
+        for z, clear, obst in advance_beams(
+                sources[l], obstruction_from(cfg), planes,
+                grid["max_step_m"], grid["edge_margin"]):
+            if healing:
+                curve.add(z, clear, obst, l, ring_radius_for(cfg, l),
+                          cfg["healing"]["max_mode"])
+
     def walk():
-        for _ in advance_beams(source, obstruction_from(cfg), planes,
-                               grid["max_step_m"], grid["edge_margin"]):
-            pass
+        for l in orders:
+            one_order(l)
 
     return walk
 
@@ -323,10 +345,15 @@ def test_runs_hold_one_grid_per_beam():
             pass
 
     assert _peak_grids(walk, 256) < 3
-    # from a cold cache the default walk adds only the three cached
-    # quadrants of its hops (0.25 grids each): the launch caches none and
-    # each is built once
-    assert _peak_grids(_default_walk(1024), 1024, cold=True) < 3.0
+    # from cold, the default walk adds one transfer-function quadrant (0.25
+    # grids) and a build's temporaries: each hop length frees the quadrant
+    # of the one before, and the launch holds none
+    assert _peak_grids(_default_walk(1024), 1024, cold=True) < 2.4
+    # both orders, one after the other, with the healing curve at every
+    # plane: the similarity's temporaries are a block of rows, not the
+    # annulus
+    assert _peak_grids(_default_walk(1024, (2, 4), healing=True), 1024,
+                       cold=True) < 2.5
     # the obstructed scenario launches, masks and steps one grid
     s = scenario_from_config(validate_config({}), 2, obstructed=True)
     assert _peak_grids(lambda: run_scenario(s), 1024) < 1.2
@@ -337,9 +364,9 @@ def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):
     # quadrant and the obstructed beam's step reads it
     monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
     walk = _default_walk(256)
-    _transfer_function.cache_clear()
+    built = _count_builds(monkeypatch)
     walk()
-    assert _transfer_function.cache_info().misses == 3   # 1, 4 and 5 m
+    assert [key[-1] for key in built] == [1.0, 4.0, 5.0]
 
 
 def _record_fft_threads(monkeypatch):

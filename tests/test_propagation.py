@@ -4,6 +4,7 @@ Rayleigh-Sommerfeld quadrature oracle."""
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
 from oamlink.beams import synthesize_source_field
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import GeometryError, OutOfExtentError, PlaneMismatchError
-from oamlink.propagation import (_TRANSFER_CACHE_SIZE, _band_limit,
-                                 _transfer_function, angular_bandlimit,
-                                 propagate_to)
+from oamlink.propagation import (_band_limit, _transfer_function,
+                                 angular_bandlimit, propagate_to)
 from tests.oracles import analytic_source, rayleigh_sommerfeld_reference
 
 
@@ -124,6 +124,22 @@ def _unfold(quadrant, side):
     return quadrant[np.ix_(fold, fold)]
 
 
+def _count_builds(monkeypatch):
+    """The key of every quadrant ``propagation._transfer`` builds from now
+    on, in order; the held quadrant is dropped first, so the next step
+    builds its own."""
+    built = []
+    real = propagation._transfer_function
+
+    def counting(*key):
+        built.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(propagation, "_transfer_function", counting)
+    propagation._HELD.clear()
+    return built
+
+
 def _transfer_from_formula(f, dz):
     """H written out from the module docstring's formula on meshgrid planes."""
     fx = np.fft.fftfreq(f.side, d=f.spacing)
@@ -141,7 +157,7 @@ def test_cached_transfer_matches_formula():
     f = _bandlimited_field(extent=0.128, sin_max=0.3, sigma=0.01)
     for dz in (0.5, 3.0):
         ref = _transfer_from_formula(f, dz)
-        for _ in range(2):   # build, then cache hit
+        for _ in range(2):   # build, then read the held quadrant
             g = propagate(f, dz)
             expected = np.fft.ifft2(np.fft.fft2(f.samples) * ref)
             assert np.max(np.abs(g.samples - expected)) \
@@ -161,16 +177,18 @@ def test_cached_transfer_is_read_only():
         transfer *= 2.0
 
 
-def test_cache_keys_on_step_and_band_limit():
+def test_cache_keys_on_step_and_band_limit(monkeypatch):
     f = _bandlimited_field(extent=0.128, sin_max=0.3, sigma=0.01)
-    _transfer_function.cache_clear()
-    propagate(f, 0.5)
-    propagate(f, 0.5)
-    assert _transfer_function.cache_info().currsize == 1
-    assert _transfer_function.cache_info().hits == 1
-    propagate(f, 3.0)
-    assert _transfer_function.cache_info().currsize == 2
+    built = _count_builds(monkeypatch)
     key = (f.side, f.extent, f.wavelength)
+    propagate(f, 0.5)
+    propagate(f, 0.5)
+    assert built == [(*key, 0.5)]   # the second step reads the first's
+    assert list(propagation._HELD) == [(*key, 0.5)]
+    propagate(f, 3.0)
+    # a new step length replaces the held quadrant, not adds to it
+    assert built == [(*key, 0.5), (*key, 3.0)]
+    assert list(propagation._HELD) == [(*key, 3.0)]
     h_short = _transfer_function(*key, 0.5)
     h_long = _transfer_function(*key, 3.0)
     assert not np.array_equal(h_short, h_long)
@@ -178,14 +196,46 @@ def test_cache_keys_on_step_and_band_limit():
     assert np.count_nonzero(h_short) > np.count_nonzero(h_long)
 
 
-def test_cache_stays_within_its_bound():
+def test_cache_stays_within_its_bound(monkeypatch):
     f = _bandlimited_field()
-    _transfer_function.cache_clear()
-    for dz in (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 0.1):
+    built = _count_builds(monkeypatch)
+    steps = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 0.1)
+    for dz in steps:
         propagate(f, dz)
-        assert _transfer_function.cache_info().currsize <= _TRANSFER_CACHE_SIZE
-    assert _TRANSFER_CACHE_SIZE == 4
-    assert _transfer_function.cache_info().currsize == _TRANSFER_CACHE_SIZE
+        # one quadrant alive: the one this step read
+        assert list(propagation._HELD) == [(f.side, f.extent, f.wavelength,
+                                            dz)]
+    # a step length that returns after another is built again
+    assert [key[-1] for key in built] == list(steps)
+
+
+def test_one_quadrant_is_alive_even_while_the_next_is_built(monkeypatch):
+    # at 1024^2 a quadrant is 513^2 * 16 bytes (4.0 MiB) and a build's
+    # temporaries are one 64-row block's, well under half a quadrant
+    side, extent, lam = 1024, 12.0, 299792458.0 / 28e9
+    quadrant = (side // 2 + 1) ** 2 * 16
+    built = _count_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        bits = propagation._transfer(side, extent, lam, 1.0).copy()
+        # the held quadrant and the copy of its bits
+        held = tracemalloc.get_traced_memory()[0]
+        assert 2 * quadrant <= held < 2.5 * quadrant
+        tracemalloc.reset_peak()
+        for dz in (4.0, 5.0, 1.0):
+            propagation._transfer(side, extent, lam, dz)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each build frees the held quadrant first: an LRU cache of one entry
+    # would peak at one more quadrant while it builds the next
+    assert peak < held + 0.5 * quadrant
+    assert current < held + 0.5 * quadrant
+    assert [key[-1] for key in built] == [1.0, 4.0, 5.0, 1.0]
+    # the returning key was built again, with the bits of its first build
+    again = propagation._transfer(side, extent, lam, 1.0)
+    assert len(built) == 4
+    assert np.array_equal(_bits(again), _bits(bits))
 
 
 def test_band_limit_frequency_formula():
@@ -415,10 +465,10 @@ def test_out_must_be_the_fields_own_samples():
         propagate_to(spectrum, 10.0, out=propagation._grid(64))
 
 
-def test_threads_that_miss_a_key_together_build_it_once():
+def test_threads_that_miss_a_key_together_build_it_once(monkeypatch):
     # more threads than cores, switching often, all asking for one cold key
     key = (64, 0.128, 0.0107, 0.5)
-    _transfer_function.cache_clear()
+    built = _count_builds(monkeypatch)
     start = threading.Barrier(8)
     got = []
 
@@ -438,33 +488,37 @@ def test_threads_that_miss_a_key_together_build_it_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(got) == 8 and all(h is got[0] for h in got)
-    assert _transfer_function.cache_info().misses == 1
+    assert built == [key]
 
 
-def test_launch_builds_its_box_of_the_transfer_function_uncached():
+def test_launch_builds_its_box_of_the_transfer_function_uncached(
+        monkeypatch):
     f = _bandlimited_field()
     spectrum = source_spectrum(SourceRing(0.149, 238, 2), 256, 12.0, 0.0107,
                                math.radians(5.0))
-    _transfer_function.cache_clear()
+    built = _count_builds(monkeypatch)
     propagate(f, 0.5)
-    before = _transfer_function.cache_info()
+    held = dict(propagation._HELD)
     launch(spectrum, 10.0)
     launch(spectrum, 10.0)
-    assert _transfer_function.cache_info() == before
+    # the launches build no quadrant and leave the held one in place
+    assert len(built) == 1
+    assert propagation._HELD.keys() == held.keys()
+    assert all(propagation._HELD[k] is held[k] for k in held)
 
 
 @pytest.mark.parametrize("dz", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_steps_are_rejected(dz):
+def test_non_finite_steps_are_rejected(dz, monkeypatch):
     f = _bandlimited_field()
     spectrum = source_spectrum(SourceRing(0.149, 238, 2), 64, 12.0, 0.0107,
                                math.radians(5.0))
-    _transfer_function.cache_clear()
+    built = _count_builds(monkeypatch)
     with pytest.raises(GeometryError):
         propagate(f, dz)
     with pytest.raises(GeometryError):
         launch(spectrum, dz)
     # no transfer function was built for the bad step
-    assert _transfer_function.cache_info().currsize == 0
+    assert built == [] and not propagation._HELD
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -65,9 +65,9 @@ def test_unknown_and_mistyped_fields():
         assert "grid.side" in str(e)
 
 
-def _config_error_field(cfg):
+def _config_error_field(cfg, orders=None):
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
+        validate_config(cfg, orders)
     return err.value.field
 
 
@@ -259,6 +259,33 @@ def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
                  "--out", str(tmp_path)]) == 1
     assert f"config field '{field}':" in capsys.readouterr().err
+
+
+def test_simulate_checks_the_order_it_runs(tmp_path, capsys):
+    # simulate --mode takes an order outside modes: its ring must fit the
+    # grid and the ring elements must carry it.  This run used to fail
+    # at synthesis with no config field
+    small = {"grid": {"extent_m": 1.0}, "receiver": {"theta_deg": 0.0}}
+    assert validate_config(small)                  # modes 2 and 4 fit
+    assert validate_config(small, orders=[4])
+    assert _config_error_field(small, orders=[6]) == "grid.extent_m"
+    assert validate_config({"ring_elements": 10})  # 2|l| = 8 for order 4
+    assert _config_error_field({"ring_elements": 10}, orders=[5]) \
+        == "ring_elements"
+    for cfg, field in ((small, "grid.extent_m"),
+                       ({"ring_elements": 10}, "ring_elements")):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(cfg_path), "--grid", "64",
+                "--mode", "6", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: config field '{field}':")
+    # the order a run does take still passes
+    cfg_path.write_text(json.dumps(small))
+    assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
+                 "--mode", "2", "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("receiver", [
