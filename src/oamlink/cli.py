@@ -8,9 +8,10 @@ import json
 import sys
 from pathlib import Path
 
+from .bessel import MAX_ORDER
 from .errors import ConfigError, OamLinkError
 from .field import write_field, write_field_csv
-from .scenario import (default_config, link_plan, run_experiment,
+from .scenario import (default_config, is_order, link_plan, run_experiment,
                        run_scenario, scenario_from_config, validate_config,
                        write_report)
 
@@ -51,6 +52,9 @@ def cmd_plan(args):
 
 
 def cmd_simulate(args):
+    if not is_order(args.mode):
+        raise OamLinkError(f"--mode must be a nonzero integer with |l| <= "
+                           f"{MAX_ORDER}, got {args.mode}")
     cfg = _apply_overrides(_load_config(args.config), args, [args.mode])
     out = _out_dir(args)
     s = scenario_from_config(cfg, args.mode, obstructed=not args.clear,

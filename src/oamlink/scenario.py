@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -29,9 +30,19 @@ from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
 
 _REFERENCE_RING = (2, 0.149)   # order and radius every unmatched mode scales from
-# The ``ring_radii_m`` keys ``ring_radius_for`` can look up: str(l) for every
-# nonzero order with |l| <= MAX_ORDER.
-_ORDER_KEYS = frozenset(str(l) for l in range(-MAX_ORDER, MAX_ORDER + 1) if l)
+
+
+def is_order(l) -> bool:
+    """Whether ``l`` is an OAM order a run can take: a nonzero int, not a
+    bool, with |l| <= MAX_ORDER."""
+    return isinstance(l, int) and not isinstance(l, bool) \
+        and 0 < abs(l) <= MAX_ORDER
+
+
+# The ``ring_radii_m`` keys ``ring_radius_for`` can look up: str(l) of every
+# order.
+_ORDER_KEYS = frozenset(str(l) for l in range(-MAX_ORDER, MAX_ORDER + 1)
+                        if is_order(l))
 
 
 def default_config() -> dict:
@@ -93,28 +104,78 @@ def default_config() -> dict:
     }
 
 
-def _require(cfg: dict, path: str, kind):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(path, "missing")
-        node = node[part]
-    if isinstance(node, bool) and kind is not bool:
-        raise ConfigError(path, f"expected {kind.__name__}, got bool")
-    if kind is float and isinstance(node, int):
-        node = float(node)
-    if not isinstance(node, kind):
-        raise ConfigError(path, f"expected {kind.__name__}, got {type(node).__name__}")
-    return node
-
-
 def _positive_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and 0 < value < math.inf
 
 
+def _has_noise_scale(snr_db) -> bool:
+    """+inf is a noiseless run; far from 0 dB, 10**(snr_db/10) underflows
+    to 0 or overflows, and the noise scale is then no positive number."""
+    if snr_db == math.inf:
+        return True
+    try:
+        sigma = float(noise_sigma(snr_db))
+    except (OverflowError, ZeroDivisionError):
+        return False
+    return math.isfinite(sigma) and sigma > 0
+
+
+def _check_type(path: str, value, default) -> None:
+    """``value`` must have the type of ``default``: an int is taken for a
+    float, a bool never for a number, and a float must be finite (an int
+    too, as a float), except ``rx.snr_db = +inf``."""
+    kind = type(default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ConfigError(path, f"expected {kind.__name__}, "
+                                f"got {type(value).__name__}")
+    if kind is float and not (abs(value) <= sys.float_info.max or
+                              path == "rx.snr_db" and value == math.inf):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+
+
+# The rules of a single field, checked in this order once every value has
+# its default's type: (path, test, message).  The obstruction's rows hold
+# only while the mask is enabled.
+_RULES = [
+    ("ring_radii_m", lambda v: all(map(_positive_number, v.values())),
+     "must map each order to a positive, finite radius in m"),
+    ("link.wavelength_override_m", lambda v: v is None or _positive_number(v),
+     "must be null or a positive, finite length in m"),
+    ("modes", lambda v: v and all(map(is_order, v)) and len(set(v)) == len(v),
+     f"must list distinct orders, each a nonzero integer with "
+     f"|l| <= {MAX_ORDER}"),
+    ("link.rf_hz", lambda v: v > 0, "must be positive"),
+    ("link.num_modes", lambda v: v >= 2, "must be at least 2"),
+    ("link.rx_spacing_m", lambda v: v > 0, "must be positive"),
+    ("link.distance_m", lambda v: v > 0, "must be positive"),
+    ("grid.side", lambda v: v >= 64 and not v & (v - 1),
+     "must be a power of two >= 64"),
+    ("grid.max_step_m", lambda v: v > 0, "must be positive"),
+    ("grid.theta_max_deg", lambda v: 0 < v < 90, "must lie in (0, 90) degrees"),
+    ("grid.edge_margin", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    ("receiver.num_antennas", lambda v: v >= 1, "must be at least 1"),
+    ("rx.num_noise_seeds", lambda v: v >= 1, "must be at least 1"),
+    ("rx.snr_db", _has_noise_scale, "must give a finite, positive noise scale"),
+    ("rx.noise_seed", lambda v: v >= 0, "must not be negative"),
+    ("rx.pilot_seed", lambda v: v >= 0, "must not be negative"),
+    ("rx.guard_samples", lambda v: v >= 0, "must not be negative"),
+    ("rx.pilot_symbols", lambda v: v >= MIN_PILOT_SYMBOLS,
+     f"must be at least {MIN_PILOT_SYMBOLS}"),
+    ("obstruction.shape", lambda v: v in ("disk", "rectangle"),
+     "must be 'disk' or 'rectangle'"),
+    ("obstruction.width_m", lambda v: v > 0, "must be positive"),
+    ("obstruction.transmittance", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+]
+
+
 def validate_config(cfg: dict, orders=None) -> dict:
-    """Fill a user config over the defaults and type-check the result.
+    """Fill a user config over the defaults and check the result, in three
+    passes: each value given against the type of its default, as it is
+    merged; then the single-field rules of ``_RULES``; then the rules that
+    tie fields together.  The first rule broken raises a ``ConfigError``
+    naming its field.
 
     ``orders`` are OAM orders a run takes besides those in ``modes`` (as
     ``oamlink simulate --mode`` does); the checks that depend on an order,
@@ -127,130 +188,54 @@ def validate_config(cfg: dict, orders=None) -> dict:
 
     def deep_merge(base, extra, prefix=""):
         for key, value in extra.items():
-            if prefix == "ring_radii_m." and key not in _ORDER_KEYS:
-                raise ConfigError(f"{prefix}{key}", f"unknown field: an order "
-                                  f"key is a nonzero integer with |l| <= "
-                                  f"{MAX_ORDER}")
-            if key not in base and prefix != "ring_radii_m.":
-                raise ConfigError(f"{prefix}{key}", "unknown field")
-            if isinstance(base.get(key), dict):
+            path, default = f"{prefix}{key}", base.get(key)
+            if prefix == "ring_radii_m.":   # free keys; a rule checks values
+                if key not in _ORDER_KEYS:
+                    raise ConfigError(path, f"unknown field: an order key is "
+                                            f"a nonzero integer with |l| <= "
+                                            f"{MAX_ORDER}")
+            elif key not in base:
+                raise ConfigError(path, "unknown field")
+            elif isinstance(default, dict):
                 if not isinstance(value, dict):
-                    raise ConfigError(prefix + key, f"expected an object, "
-                                      f"got {type(value).__name__}")
-                deep_merge(base[key], value, prefix + key + ".")
-            else:
-                base[key] = value
+                    raise ConfigError(path, f"expected an object, "
+                                            f"got {type(value).__name__}")
+                deep_merge(default, value, path + ".")
+                continue
+            elif default is not None:
+                _check_type(path, value, default)
+            base[key] = value
 
     deep_merge(merged, cfg or {})
-    for path, kind in [
-        ("link.bandwidth_hz", float), ("link.distance_m", float),
-        ("link.rx_spacing_m", float), ("link.digital_if_hz", float),
-        ("link.rf_hz", float), ("link.beam_radius_m", float),
-        ("link.num_modes", int),
-        ("modes", list), ("ring_elements", int),
-        ("grid.side", int), ("grid.extent_m", float),
-        ("grid.theta_max_deg", float), ("grid.max_step_m", float),
-        ("grid.edge_margin", float),
-        ("obstruction.enabled", bool), ("obstruction.shape", str),
-        ("obstruction.width_m", float), ("obstruction.height_m", float),
-        ("obstruction.center_x_m", float), ("obstruction.center_y_m", float),
-        ("obstruction.z_m", float), ("obstruction.transmittance", float),
-        ("receiver.num_antennas", int), ("receiver.spacing_m", float),
-        ("receiver.theta_deg", float),
-        ("rx.snr_db", float), ("rx.pilot_symbols", int),
-        ("rx.pilot_seed", int), ("rx.noise_seed", int),
-        ("rx.num_noise_seeds", int), ("rx.guard_samples", int),
-        ("healing.z_samples_m", list), ("healing.max_mode", int),
-    ]:
-        value = _require(merged, path, kind)
-        # rx.snr_db = +inf is a noiseless run; its other values are checked
-        # with the noise scale below
-        if kind is float and path != "rx.snr_db" and not math.isfinite(value):
-            raise ConfigError(path, f"must be finite, got {value!r}")
-    radii = merged["ring_radii_m"]
-    if not isinstance(radii, dict) or not all(
-            _positive_number(r) for r in radii.values()):
-        raise ConfigError("ring_radii_m", f"must map each order to a positive, "
-                                          f"finite radius in m, got {radii!r}")
-    override = merged["link"]["wavelength_override_m"]
-    if override is not None and not _positive_number(override):
-        raise ConfigError("link.wavelength_override_m",
-                          f"must be null or a positive, finite length in m, "
-                          f"got {override!r}")
-    if not merged["modes"]:
-        raise ConfigError("modes", "must list at least one OAM order")
-    for order in merged["modes"]:
-        if isinstance(order, bool) or not isinstance(order, int) \
-                or order == 0 or abs(order) > MAX_ORDER:
-            raise ConfigError("modes", f"each order must be a nonzero integer "
-                                       f"with |l| <= {MAX_ORDER}, got {order!r}")
-    max_order = max(abs(order) for order in merged["modes"])
-    carried = list(merged["modes"]) + list(orders or [])
+    obstruction = merged["obstruction"]
+    for path, test, message in _RULES:
+        section, _, key = path.partition(".")
+        if section == "obstruction" and not obstruction["enabled"]:
+            continue
+        value = merged[section][key] if key else merged[section]
+        if not test(value):
+            raise ConfigError(path, f"{message}, got {value!r}")
+
+    link, grid, modes = merged["link"], merged["grid"], merged["modes"]
+    distance = link["distance_m"]
+    carried = modes + list(orders or [])
     widest = max(abs(order) for order in carried)
     if merged["ring_elements"] <= 2 * widest:
         raise ConfigError("ring_elements", f"must exceed 2|l| = {2 * widest} "
                                            f"to carry every order of the run")
-    link = merged["link"]
-    if not link["rf_hz"] > 0:
-        raise ConfigError("link.rf_hz", "must be positive")
-    if link["num_modes"] < 2:
-        raise ConfigError("link.num_modes", "must be at least 2")
-    if not link["rx_spacing_m"] > 0:
-        raise ConfigError("link.rx_spacing_m", "must be positive")
     if not 0 < link["bandwidth_hz"] < link["digital_if_hz"]:
         raise ConfigError("link.bandwidth_hz", f"must be positive and below "
                                                f"link.digital_if_hz "
                                                f"({link['digital_if_hz']:g})")
-    grid = merged["grid"]
-    side = grid["side"]
-    if side < 64 or side & (side - 1):
-        raise ConfigError("grid.side", f"must be a power of two >= 64, got {side}")
-    if not grid["max_step_m"] > 0:
-        raise ConfigError("grid.max_step_m", "must be positive")
-    if not 0 < grid["theta_max_deg"] < 90:
-        raise ConfigError("grid.theta_max_deg", "must lie in (0, 90) degrees")
-    if not 0 <= grid["edge_margin"] <= 1:
-        raise ConfigError("grid.edge_margin", "must lie in [0, 1]")
-    if merged["receiver"]["num_antennas"] < 1:
-        raise ConfigError("receiver.num_antennas", "must be at least 1")
-    if merged["rx"]["num_noise_seeds"] < 1:
-        raise ConfigError("rx.num_noise_seeds", "must be at least 1")
-    snr_db = merged["rx"]["snr_db"]
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ConfigError("rx.snr_db", "must not be NaN or -inf")
-    if snr_db != math.inf:
-        try:
-            sigma = float(noise_sigma(snr_db))
-        except (OverflowError, ZeroDivisionError):
-            sigma = math.nan
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigError("rx.snr_db", f"{snr_db:g} dB gives no finite, "
-                                           f"positive noise scale")
-    for name in ("noise_seed", "pilot_seed", "guard_samples"):
-        if merged["rx"][name] < 0:
-            raise ConfigError("rx." + name, "must not be negative")
-    if merged["rx"]["pilot_symbols"] < MIN_PILOT_SYMBOLS:
-        raise ConfigError("rx.pilot_symbols",
-                          f"must be at least {MIN_PILOT_SYMBOLS}")
-    distance = merged["link"]["distance_m"]
-    obstruction = merged["obstruction"]
     if obstruction["enabled"]:
         if not 0 < obstruction["z_m"] < distance:
             raise ConfigError("obstruction.z_m", "must lie between the source "
                                                  "and the receiver plane")
-        if obstruction["shape"] not in ("disk", "rectangle"):
-            raise ConfigError("obstruction.shape", f"must be 'disk' or "
-                              f"'rectangle', got {obstruction['shape']!r}")
-        sizes = ("width_m",) if obstruction["shape"] == "disk" \
-            else ("width_m", "height_m")
-        for name in sizes:
-            if not obstruction[name] > 0:
-                raise ConfigError("obstruction." + name, "must be positive")
-        if not 0 <= obstruction["transmittance"] <= 1:
-            raise ConfigError("obstruction.transmittance",
-                              "must lie in [0, 1]")
+        if obstruction["shape"] == "rectangle" \
+                and not obstruction["height_m"] > 0:
+            raise ConfigError("obstruction.height_m", "must be positive")
     max_mode = merged["healing"]["max_mode"]
-    if max_mode < max_order:
+    if max_mode < max(abs(order) for order in modes):
         raise ConfigError("healing.max_mode", f"must reach the largest |l| "
                                               f"in modes, got {max_mode}")
     z_min = obstruction["z_m"] if obstruction["enabled"] else 0.0
@@ -265,7 +250,7 @@ def validate_config(cfg: dict, orders=None) -> dict:
     if not 0 < link["beam_radius_m"] < bound:
         raise ConfigError("link.beam_radius_m", f"must lie in (0, d*F/(2B)) = "
                                                 f"(0, {bound:g}) m")
-    extent = grid["extent_m"]
+    extent, side = grid["extent_m"], grid["side"]
     for order in carried:
         radius = ring_radius_for(merged, order)
         if extent < 4.0 * radius:   # also a grid.extent_m <= 0

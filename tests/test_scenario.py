@@ -240,6 +240,11 @@ def test_z_samples_bound_follows_the_mask():
     ({"receiver": {"theta_deg": 20.0}}, "receiver.theta_deg"),
     ({"receiver": {"spacing_m": 5.0}}, "receiver.spacing_m"),
     ({"grid": {"extent_m": 0.5}}, "grid.extent_m"),
+    # a link distance at or behind the source, which used to be reported as
+    # the mask's plane, or with the mask off as the analysis planes
+    ({"link": {"distance_m": -5.0}}, "link.distance_m"),
+    ({"link": {"distance_m": -5.0}, "obstruction": {"enabled": False}},
+     "link.distance_m"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -286,6 +291,80 @@ def test_simulate_checks_the_order_it_runs(tmp_path, capsys):
     cfg_path.write_text(json.dumps(small))
     assert main(["simulate", "--config", str(cfg_path), "--grid", "64",
                  "--mode", "2", "--out", str(tmp_path / "out")]) == 0
+
+
+def _typed_leaves(node=None, prefix=""):
+    """(path, default) of every leaf of ``default_config()`` whose default
+    is not None, outside ``ring_radii_m`` (its keys are free)."""
+    for key, value in (default_config() if node is None else node).items():
+        if isinstance(value, dict):
+            if key != "ring_radii_m":
+                yield from _typed_leaves(value, prefix + key + ".")
+        elif value is not None:
+            yield prefix + key, value
+
+
+def _wrong_types(default):
+    """Values whose type is not that of ``default``: a bool is no number,
+    and a float no count."""
+    wrong = [1 if isinstance(default, str) else "x", None, {}]
+    if isinstance(default, bool):
+        wrong.append(1)
+    elif isinstance(default, (int, float)):
+        wrong.append(True)
+    if type(default) is int:
+        wrong.append(float(default))
+    return wrong
+
+
+def _at_path(path, value):
+    section, _, key = path.partition(".")
+    return {section: {key: value}} if key else {section: value}
+
+
+@pytest.mark.parametrize("path, value", [
+    (path, value) for path, default in _typed_leaves()
+    for value in _wrong_types(default)])
+def test_every_field_takes_only_the_type_of_its_default(path, value):
+    # the cases come from default_config(), so a field added later is
+    # covered with no new list
+    assert _config_error_field(_at_path(path, value)) == path
+
+
+def test_a_whole_number_is_taken_for_a_float_if_it_fits_one():
+    assert validate_config(default_config()) == default_config()
+    for path, default in _typed_leaves():
+        if type(default) is not float:
+            continue
+        if default.is_integer():
+            cfg = validate_config(_at_path(path, int(default)))
+            section, _, key = path.partition(".")
+            assert type(cfg[section][key]) is int   # not rewritten
+        # JSON reads 1 and 400 zeros as an int, which used to end in an
+        # OverflowError from float()
+        assert _config_error_field(_at_path(path, 10 ** 400)) == path
+
+
+@pytest.mark.parametrize("mode", ["0", "17", "-17"])
+def test_simulate_mode_must_be_an_order(mode, tmp_path, capsys):
+    # 0 used to be reported as config field 'modes', and 17 and -17 as an
+    # order outside the supported range with no flag named
+    line = _cli_error(["simulate", "--grid", "64", "--mode", mode,
+                       "--out", str(tmp_path)], capsys)
+    assert "--mode" in line and "|l| <= 16" in line
+
+
+def test_modes_must_not_repeat(tmp_path, capsys):
+    # order 2 used to run twice, with one report entry and every one of its
+    # correlation rows written twice
+    assert _config_error_field({"modes": [2, 2]}) == "modes"
+    assert _config_error_field({"modes": [2, 4, 2]}) == "modes"
+    assert validate_config({"modes": [2, -2]})["modes"] == [2, -2]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"modes": [2, 2]}))
+    assert "config field 'modes':" in _cli_error(
+        ["experiment", "--config", str(cfg_path), "--grid", "64",
+         "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("receiver", [
