@@ -55,17 +55,18 @@ Only the FFT passes use threads.  A step runs as passes over the grid
 with a barrier between them: the copy, unless the step is in place, and
 the forward FFT along the columns, the forward FFT along the rows and the
 multiply by H, the inverse FFT along the columns, the inverse along the
-rows.  Each pass is split (``_split``) into one range of columns or rows
-per core, over ``_FFT_WORKERS`` cores: all cores in the process's
-affinity set (``os.sched_getaffinity``, else ``os.cpu_count()``), with no
-setting.  The calling thread runs the first range and helper threads
-(``_part_pool``, started on first use) the others.  The edge taper of
-``propagate_to``, the mask's multiply and the launch's scatter are
-memory-bound (in place at 1024^2 on 2 cores, no faster split) and run on
-the calling thread.  The beams step one after the other.  Each FFT runs
-on one thread and releases the GIL.  The 1-D transforms are independent
-and the inverse's 1/side per pass is a power of two, so the output is bit
-for bit that of ``ifft2(fft2(field) * H)`` whatever the count.
+rows with ``propagate_to``'s edge taper (``_inverse_rows``).  Each pass is
+split (``_split``) into one range of columns or rows per core, over
+``_FFT_WORKERS`` cores: all cores in the process's affinity set
+(``os.sched_getaffinity``, else ``os.cpu_count()``), with no setting.
+The calling thread runs the first range and helper threads
+(``_part_pool``, started on first use) the others.  The mask's multiply
+and the launch's scatter are memory-bound (in place at 1024^2 on 2 cores,
+no faster split) and run on the calling thread.  The beams step one after
+the other.  Each FFT runs on one thread and releases the GIL.  The 1-D
+transforms are independent and 1/side per inverse pass is a power of
+two, so whatever the count a step is bit for bit ``fft`` along axis 0,
+then axis 1, times H, then ``ifft`` along axis 0, then axis 1.
 """
 
 from __future__ import annotations
@@ -231,13 +232,14 @@ def _require_step(dz: float) -> None:
         raise GeometryError(f"dz must be positive and finite, got {dz!r}")
 
 
-def propagate(field: ScalarField, dz: float,
-              out: np.ndarray | None = None) -> ScalarField:
-    """Field at z + dz via the band-limited angular-spectrum method:
-    ``ifft2(fft2(field) * H)`` in four FFT passes, each split over the
-    cores (``_split``): the copy, unless the step is in place, and the
-    forward FFT on column ranges; the forward FFT and the multiply by H on
-    row ranges; the inverse FFT on column ranges, then on row ranges.
+def propagate(field: ScalarField, dz: float, out: np.ndarray | None = None,
+              *, _margin: float = 0.0, _rows=None) -> ScalarField:
+    """Field at z + dz via the band-limited angular-spectrum method: the
+    2-D FFT, times H, and the inverse 2-D FFT, in four FFT passes, each
+    split over the cores (``_split``): the copy, unless the step is in
+    place, and the forward FFT on column ranges; the forward FFT and the
+    multiply by H on row ranges; the inverse FFT on column ranges, then on
+    row ranges (``_inverse_rows``, with ``propagate_to``'s taper and rows).
 
     ``out`` is None, for a new grid, or ``field.samples``, which steps the
     field in its own grid and holds no field if the step raises.
@@ -262,17 +264,38 @@ def propagate(field: ScalarField, dz: float,
         columns = grid[:, lo:hi]
         fft.ifft(columns, axis=0, out=columns)
 
-    def inverse_rows(lo, hi):
-        rows = grid[lo:hi]
-        fft.ifft(rows, axis=1, out=rows)
-
-    for work in (forward_columns, forward_rows, inverse_columns,
-                 inverse_rows):
+    for work in (forward_columns, forward_rows, inverse_columns):
         _split(field.side, work)
+    _inverse_rows(grid, _margin, _rows)
     return field.with_samples(grid, z=field.z_position + dz)
 
 
-def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
+def _inverse_rows(grid: np.ndarray, margin: float, rows) -> None:
+    """The inverse FFT along the rows of ``grid``, in place; each range of
+    rows is then tapered while in cache, if ``margin`` > 0, by a raised
+    cosine over the outer ``margin``: its rows' weights, then its columns'.
+    ``rows`` is None, for every row split over the cores (``_split``), or a
+    (lo, hi) span alone, on the calling thread, leaving the rest unfinished."""
+    side = grid.shape[0]
+    m = max(2, int(margin * side))
+    w = np.ones(side)
+    w[:m] = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
+    w[side - m:] = w[m - 1::-1]
+    m = min(m, side // 2) if margin > 0 else 0   # strips meet, not overlap
+
+    def work(lo, hi):
+        block = grid[lo:hi]
+        fft.ifft(block, axis=1, out=block)
+        for a, b in ((lo, min(hi, m)), (max(lo, side - m), hi)):
+            grid[a:b] *= w[a:b, None]   # empty unless the span has strip rows
+        block[:, :m] *= w[:m]
+        block[:, side - m:] *= w[side - m:]
+
+    _split(side, work) if rows is None else work(*rows)
+
+
+def launch(spectrum: FieldSpectrum, dz: float, *, _margin: float = 0.0,
+           _rows=None) -> ScalarField:
     """Field at z + dz of a field given by its band-limited spectrum: the box
     times H over the box's bins, scattered into a zeroed grid, and one
     inverse FFT.  It equals ``propagate`` of the spectrum's field, without
@@ -285,7 +308,8 @@ def launch(spectrum: FieldSpectrum, dz: float) -> ScalarField:
     box = _transfer_block(f, f, extent, lam, dz)
     # The bits of a complex product depend on the operands' order, so the
     # order is written out: H times the values, in H's box.
-    return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz)
+    return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz,
+                    _margin, _rows)
 
 
 def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
@@ -301,17 +325,17 @@ def _runs(indices: np.ndarray) -> list:
             for run in np.split(indices, cut) if len(run)]
 
 
-def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
-             dz: float) -> ScalarField:
+def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
+             margin: float = 0.0, rows=None) -> ScalarField:
     """The field whose spectrum is ``values`` on the box of ``spectrum``.
 
     ``values`` is scattered into the new, zeroed grid; the inverse along
     axis 0 then runs on the box's columns only, one run of consecutive
     columns at a time, since the other columns are zero and stay zero, and
-    the inverse along axis 1 on every row.  ``ifft2`` makes the same two
-    passes in the same order, and its 1/side**2 scale, taken here as
-    1/side per pass, is a power of two (a ``ScalarField`` side is one), so
-    the samples are bit for bit those of ``ifft2``."""
+    the inverse along axis 1 as ``_inverse_rows`` runs it: bit for bit
+    ``ifft`` along axis 0, then axis 1, of the whole grid, as in
+    ``scipy.fft.ifft2`` (``numpy.fft.ifft2`` runs axis 1 first, with other
+    bits), since 1/side per pass is a power of two."""
     side, bins = spectrum.side, spectrum.bins
     columns = np.sort(bins)
     grid = _grid(side)
@@ -322,12 +346,8 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
             block = grid[:, a:b]
             fft.ifft(block, axis=0, out=block)
 
-    def rows(lo, hi):
-        block = grid[lo:hi]
-        fft.ifft(block, axis=1, out=block)
-
     _split(len(columns), box_columns)
-    _split(side, rows)
+    _inverse_rows(grid, margin, rows)
     return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
                        wavelength=spectrum.wavelength)
@@ -335,18 +355,19 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray,
 
 def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
                  max_step: float = 10.0, edge_margin: float = 0.0,
-                 out: np.ndarray | None = None) -> ScalarField:
+                 out: np.ndarray | None = None, *, _rows=None) -> ScalarField:
     """Propagate to an absolute plane, splitting into steps of at most
     ``max_step``.  ``edge_margin`` in [0, 1] applies, if > 0, a soft
-    absorbing taper over that outer fraction of the grid after every step
+    absorbing taper over that outer fraction of the grid in every step
     (suppresses wrap-around on long hops at the cost of strict power
     conservation).  From a ``FieldSpectrum`` the first step is its
     ``launch``, into a new grid.
 
     The first step of a ``ScalarField`` writes ``out`` as ``propagate``
-    does; every later step, and the taper, runs in the grid of the step
-    before.  So without ``out`` the field passed in is never written, and
-    with ``out=field.samples`` the steps hold no grid but the field's."""
+    does; every later step runs in the grid of the step before.  So without
+    ``out`` the field passed in is never written, and with
+    ``out=field.samples`` the steps hold no grid but the field's.  The last
+    step finishes only ``sample_at``'s ``_rows`` unless they are None."""
     dz_total = z_target - field.z_position
     if not 0 < dz_total < math.inf:
         raise GeometryError("target plane must lie a finite distance beyond "
@@ -363,34 +384,15 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
     n_steps = max(1, math.ceil(dz_total / max_step))
     step = dz_total / n_steps
     beam = field
-    for _ in range(n_steps):
+    for i in range(n_steps):
+        last = _rows if i == n_steps - 1 else None
         if isinstance(beam, FieldSpectrum):
-            beam = launch(beam, step)
+            beam = launch(beam, step, _margin=edge_margin, _rows=last)
         else:
-            beam = propagate(beam, step, out=out)
+            beam = propagate(beam, step, out=out, _margin=edge_margin,
+                             _rows=last)
         out = beam.samples
-        if edge_margin > 0:
-            _absorb_edges(beam.samples, edge_margin)
     return beam
-
-
-def _absorb_edges(samples: np.ndarray, margin: float) -> None:
-    """Taper the outer ``margin`` of the grid in place, on the calling
-    thread: a raised-cosine ramp on the top and bottom rows, then on the
-    left and right columns, so each sample is multiplied by its row's
-    weight, then by its column's.  The window is 1 inside the margin, so
-    only the border strips are touched."""
-    n = samples.shape[0]
-    m = max(2, int(margin * n))
-    w = np.ones(n)
-    ramp = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
-    w[:m] = ramp
-    w[n - m:] = ramp[::-1]
-    m = min(m, n // 2)   # strips meet, not overlap, when the margin is wide
-    samples[:m] *= w[:m, None]
-    samples[n - m:] *= w[n - m:, None]
-    samples[:, :m] *= w[:m]
-    samples[:, n - m:] *= w[n - m:]
 
 
 def angular_bandlimit(field: ScalarField, theta_max: float) -> ScalarField:
@@ -528,24 +530,40 @@ def advance_beams(source: ScalarField | FieldSpectrum,
         yield z, clear, obstructed
 
 
-def sample_points(field: ScalarField, points) -> np.ndarray:
-    """Bilinear interpolation of the complex grid at (x, y) positions."""
+def _corners(n: int, spacing: float, points) -> tuple:
+    """(r0, c0, wr, wc): each point's cell on an ``n``^2 grid, and its
+    offsets in it."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    n = field.side
-    half = n // 2
-    fc = pts[:, 0] / field.spacing + half
-    fr = pts[:, 1] / field.spacing + half
+    fc = pts[:, 0] / spacing + n // 2
+    fr = pts[:, 1] / spacing + n // 2
     inside = (fc >= 0) & (fr >= 0) & (fc <= n - 1) & (fr <= n - 1)
     if not inside.all():   # a NaN point fails every comparison
         raise OutOfExtentError("sample point outside the grid extent")
     c0 = np.minimum(np.floor(fc).astype(int), n - 2)
     r0 = np.minimum(np.floor(fr).astype(int), n - 2)
-    wc = fc - c0
-    wr = fr - r0
+    return r0, c0, fr - r0, fc - c0
+
+
+def sample_points(field: ScalarField, points) -> np.ndarray:
+    """Bilinear interpolation of the complex grid at (x, y) positions."""
+    r0, c0, wr, wc = _corners(field.side, field.spacing, points)
     u = field.samples
     return ((1 - wr) * (1 - wc) * u[r0, c0]
             + (1 - wr) * wc * u[r0, c0 + 1]
             + wr * (1 - wc) * u[r0 + 1, c0]
             + wr * wc * u[r0 + 1, c0 + 1])
+
+
+def sample_at(field: ScalarField | FieldSpectrum, z_target: float, points,
+              max_step: float = 10.0, edge_margin: float = 0.0,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``sample_points(propagate_to(field, z_target, max_step, edge_margin,
+    out), points)``, bit for bit, but the last step finishes, on the calling
+    thread, only the rows the points read; no field of that unfinished grid
+    (with ``out``, the field's own) is returned."""
+    r0 = _corners(field.side, field.extent / field.side, points)[0]
+    rows = (int(r0.min()), int(r0.max()) + 2) if r0.size else (0, 0)
+    return sample_points(propagate_to(field, z_target, max_step, edge_margin,
+                                      out, _rows=rows), points)

@@ -24,7 +24,8 @@ from .field import FieldSpectrum, write_field
 from .link_design import (SPEED_OF_LIGHT, LinkBudget, compare_with_reference,
                           derive_link, max_beam_radius)
 from .propagation import (ObstructionMask, advance_beams, apply_mask,
-                          propagate_to, sample_points, spectrum_field)
+                          propagate_to, sample_at, sample_points,
+                          spectrum_field)
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
                       generate_pilot, noise_sigma, receive)
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
@@ -256,7 +257,10 @@ def validate_config(cfg: dict, orders=None) -> dict:
         if extent < 4.0 * radius:   # also a grid.extent_m <= 0
             raise ConfigError("grid.extent_m", f"must be at least 4x the ring "
                               f"radius, {radius:g} m for order {order}")
-    # the test sample_points holds the antennas to
+    # the row's length, before any position, then sample_points's test
+    if merged["receiver"]["num_antennas"] > side:
+        raise ConfigError("receiver.num_antennas",
+                          f"must not exceed grid.side ({side})")
     at = rx_positions_from(merged) / (extent / side) + side // 2
     for axis, path in ((1, "receiver.theta_deg"), (0, "receiver.spacing_m")):
         if not np.all((at[:, axis] >= 0) & (at[:, axis] <= side - 1)):
@@ -299,7 +303,7 @@ def obstruction_from(cfg: dict) -> ObstructionMask | None:
 def rx_positions_from(cfg: dict) -> np.ndarray:
     r = cfg["receiver"]
     n = r["num_antennas"]
-    y = -cfg["link"]["distance_m"] * np.tan(np.radians(r["theta_deg"]))
+    y = -cfg["link"]["distance_m"] * np.tan(np.radians(float(r["theta_deg"])))
     xs = (np.arange(n) - (n - 1) / 2.0) * r["spacing_m"]
     return np.column_stack([xs, np.full(n, y)])
 
@@ -371,10 +375,12 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
     stepped on to the receiver in the one grid its launch made (``out``).
     ``keep_fields`` keeps the source, mask-plane and receiver-plane fields
     in ``fields``; the mask-plane field is a copy, since the beam steps on
-    in its grid."""
+    in its grid; without them the last step finishes the receiver's rows
+    alone (``sample_at``)."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     mask = s.obstruction
+    positions = rx_positions_from(cfg)
     beam = _source_spectrum(cfg, s.order_l)
     fields = {"source": spectrum_field(beam)} if keep_fields else {}
     with _stage("propagation"):
@@ -384,12 +390,16 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
             if keep_fields:
                 fields["obstruction_plane"] = beam.with_samples(
                     beam.samples.copy())
-        beam = propagate_to(beam, cfg["link"]["distance_m"], max_step,
-                            margin, None if mask is None else beam.samples)
-        if keep_fields:
-            fields["receiver_plane"] = beam
-    with _stage("sampling"):
-        h_raw = sample_points(beam, rx_positions_from(cfg))
+        z = cfg["link"]["distance_m"]
+        out = None if mask is None else beam.samples
+        if not keep_fields:
+            h_raw = sample_at(beam, z, positions, max_step, margin, out)
+        else:
+            beam = fields["receiver_plane"] = propagate_to(
+                beam, z, max_step, margin, out)
+    if keep_fields:
+        with _stage("sampling"):
+            h_raw = sample_points(beam, positions)
     label = "obstructed" if mask is not None else "clear"
     with _stage("rx_chain"):
         scale = _unit_scale(h_raw, s.order_l) if s.h_scale is None \

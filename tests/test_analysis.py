@@ -400,14 +400,23 @@ def test_one_beam_stays_on_the_calling_thread(monkeypatch):
         == len(parts) // 2
     # an obstructed scenario carries its one beam past the mask on the
     # calling thread too (two cores and the recording propagate still set):
-    # a 10 m launch to the mask, then four 10 m steps to the receiver, each
-    # split between this thread and the pool
+    # a 10 m launch to the mask (two passes), then four 10 m steps to the
+    # receiver (four passes), each pass split between this thread and the
+    # pool, but for the last step's inverse along the rows: it finishes the
+    # receiver's rows alone, on this thread
     threads.clear()
     parts.clear()
     cfg = validate_config({"grid": {"side": 64}})
     run_scenario(scenario_from_config(cfg, 2, obstructed=True))
     assert len(threads) == 4
     assert not any(name.startswith("oamlink-beam") for name in threads)
-    assert parts.count(threading.current_thread().name) == len(parts) // 2
+    assert len(parts) == 2 * 2 + 2 * 4 * 4 - 1
+    assert parts.count(threading.current_thread().name) == 2 + 4 * 4
     assert sum(name.startswith("oamlink-part") for name in parts) \
-        == len(parts) // 2
+        == 2 + 4 * 4 - 1
+    # kept fields finish every row of the last step
+    parts.clear()
+    run_scenario(scenario_from_config(cfg, 2, obstructed=True),
+                 keep_fields=True)
+    assert parts.count(threading.current_thread().name) \
+        == sum(name.startswith("oamlink-part") for name in parts)

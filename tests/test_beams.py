@@ -1,6 +1,7 @@
 """Ring-array patterns, cone matching and source synthesis."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from oamlink.analysis import azimuthal_spectrum
 from oamlink.beams import synthesize_source_field
 from oamlink.errors import GeometryError, NyquistError
 from oamlink.propagation import angular_bandlimit
+from tests.oracles import source_spectrum_reference
 
 mp.mp.dps = 30
 
@@ -144,6 +146,38 @@ def test_source_spectrum_is_the_band_limited_splat():
     assert src.z_position == 0.0
     assert np.max(np.abs(src.samples - ref.samples)) \
         <= 1e-12 * np.max(np.abs(ref.samples))
+
+
+@pytest.mark.parametrize("side", [64, 256, 1024])
+def test_source_spectrum_matches_the_direct_dft(side):
+    # the pruned FFTs against the direct DFT of the splat's block, for rings
+    # of every size the sweep takes, Bessel-matched to order 2's
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    for order in [*range(1, 7), *range(-6, 0)]:
+        ring = SourceRing(radius_r=matched_radius(order, 2, 0.149),
+                          num_elements_N=238, order_l=order)
+        spectrum = source_spectrum(ring, side, 12.0, lam, theta)
+        ref = source_spectrum_reference(ring, side, 12.0, lam, theta)
+        assert np.max(np.abs(spectrum.values - ref)) \
+            <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_source_spectrum_temporaries_stay_small():
+    # order 6's ring is the widest the sweep takes: a 65-row block; its
+    # temporaries are blocks of 16 rows of the grid, not the block's rows
+    # across the grid (1 MiB) or a grid (16 MiB)
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=matched_radius(6, 2, 0.149),
+                      num_elements_N=238, order_l=6)
+    source_spectrum(ring, 1024, 12.0, lam, theta)
+    tracemalloc.start()
+    try:
+        spectrum = source_spectrum(ring, 1024, 12.0, lam, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum.bins) == 195
+    assert peak - spectrum.values.nbytes <= 2 ** 20
 
 
 def test_source_spectrum_guards():

@@ -17,8 +17,9 @@ from oamlink.beams import synthesize_source_field
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import GeometryError, OutOfExtentError, PlaneMismatchError
 from oamlink.propagation import (_band_limit, _transfer_function,
-                                 angular_bandlimit, propagate_to)
-from tests.oracles import analytic_source, rayleigh_sommerfeld_reference
+                                 angular_bandlimit, propagate_to, sample_at)
+from tests.oracles import (absorb_edges, analytic_source,
+                           rayleigh_sommerfeld_reference)
 
 
 def _bandlimited_field(side=64, extent=0.64, lam=0.0107, sin_max=0.05,
@@ -290,6 +291,49 @@ def test_edge_absorber_matches_window_and_spares_input(margin):
         ref = ref.with_samples(ref.samples * np.outer(w, w))
     assert np.max(np.abs(g.samples - ref.samples)) \
         <= 1e-14 * np.max(np.abs(ref.samples))
+
+
+def _ring_spectrum(side, order=2):
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=order)
+    return source_spectrum(ring, side, 12.0, lam, theta)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("margin", [0.05, 0.6, 1.0])
+def test_fused_taper_has_the_bits_of_a_step_then_the_taper(margin, cores,
+                                                            monkeypatch):
+    # each row range is tapered right after its inverse; the oracle tapers
+    # the finished grid, rows then columns; three cores cut the grid inside
+    # the strips of a wide margin
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+    spectrum = _ring_spectrum(64)
+    ref = launch(spectrum, 3.0)
+    absorb_edges(ref.samples, margin)
+    for _ in range(2):
+        ref = propagate(ref, 3.0)
+        absorb_edges(ref.samples, margin)
+    got = propagate_to(spectrum, 9.0, max_step=3.0, edge_margin=margin)
+    assert np.array_equal(_bits(got.samples), _bits(ref.samples))
+
+
+@pytest.mark.parametrize("side", [64, 256, 1024])
+def test_steps_transform_axis_0_then_axis_1(side):
+    # numpy's fft2 and ifft2 run the last axis first and differ from a step
+    # in the last bits; a step's passes run axis 0 first
+    spectrum = _ring_spectrum(side)
+    grid = np.zeros((side, side), dtype=complex)
+    grid[np.ix_(spectrum.bins, spectrum.bins)] = spectrum.values
+    source = spectrum_field(spectrum)
+    assert np.array_equal(_bits(source.samples),
+                          _bits(np.fft.ifft(np.fft.ifft(grid, axis=0),
+                                            axis=1)))
+    transfer = _unfold(_transfer_function(side, 12.0, source.wavelength,
+                                          5.0), side)
+    ref = np.fft.fft(np.fft.fft(source.samples, axis=0), axis=1)
+    ref *= transfer
+    ref = np.fft.ifft(np.fft.ifft(ref, axis=0), axis=1)
+    assert np.array_equal(_bits(propagate(source, 5.0).samples), _bits(ref))
 
 
 def test_angular_bandlimit():
@@ -700,3 +744,37 @@ def test_sample_points_rejects_non_finite_points(point):
     f = _bandlimited_field()
     with pytest.raises(OutOfExtentError):
         sample_points(f, [[0.0, 0.0], point])
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("side", [64, 128])
+def test_sample_at_has_the_bits_of_the_finished_field(side, cores,
+                                                      monkeypatch):
+    # the last step finishes only the rows the points read; the points sit
+    # in the top and bottom taper strips, on the grid's middle rows, between
+    # rows and on one row; the walks end in a launch, a step into a new
+    # grid and a step in the field's own grid
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+    spectrum = _ring_spectrum(side)
+    step = 12.0 / side
+    edge = (side // 2 - 1) * step
+    rows = {"top": [[-0.3, -6.0 + 0.4 * step], [0.2, -6.0 + 0.9 * step]],
+            "bottom": [[0.0, edge], [-5.9, edge - 0.5 * step]],
+            "middle": [[-0.21, 0.05], [0.0, 0.05], [0.21, 0.05]],
+            "one row": [[0.5 * step, 2 * step]]}
+    field = propagate_to(spectrum, 10.0, edge_margin=0.05)
+    samples = field.samples.copy()
+    for points in rows.values():
+        for margin in (0.0, 0.05):
+            for source, z in ((spectrum, 8.0), (field, 30.0)):
+                expected = sample_points(
+                    propagate_to(source, z, 10.0, margin), points)
+                got = sample_at(source, z, points, 10.0, margin)
+                assert np.array_equal(_bits(got), _bits(expected))
+            assert np.array_equal(field.samples, samples)   # never written
+            own = _own(field)
+            got = sample_at(own, 30.0, points, 10.0, margin,
+                            out=own.samples)
+            assert np.array_equal(_bits(got), _bits(expected))   # z = 30 m
+    with pytest.raises(OutOfExtentError):
+        sample_at(field, 30.0, [[0.0, 6.0]])

@@ -245,6 +245,12 @@ def test_z_samples_bound_follows_the_mask():
     ({"link": {"distance_m": -5.0}}, "link.distance_m"),
     ({"link": {"distance_m": -5.0}, "obstruction": {"enabled": False}},
      "link.distance_m"),
+    # an int angle numpy cannot take the radians of, and antenna rows longer
+    # than the grid is wide, which used to end in a TypeError, a ValueError
+    # from np.arange and gigabytes of positions built before any check
+    ({"receiver": {"theta_deg": 2 ** 64}}, "receiver.theta_deg"),
+    ({"receiver": {"num_antennas": 2 ** 64}}, "receiver.num_antennas"),
+    ({"receiver": {"num_antennas": 10 ** 9}}, "receiver.num_antennas"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -387,6 +393,38 @@ def test_receiver_check_agrees_with_sampling(receiver):
         assert validate_config(cfg)
     else:
         assert _config_error_field(cfg) == "receiver." + next(iter(receiver))
+
+
+@pytest.mark.parametrize("side", [64, 128])
+@pytest.mark.parametrize("receiver", [
+    {}, {"num_antennas": 3},                       # even and odd rows
+    {"num_antennas": 5, "theta_deg": 6.8},         # in the top taper strip
+    {"num_antennas": 1, "theta_deg": -6.6}])       # in the bottom strip
+def test_scenario_channel_is_that_of_the_finished_field(side, receiver):
+    # without kept fields the last step finishes only the receiver's rows;
+    # the channel and the metrics keep the bits of sampling the whole field
+    cfg = validate_config({"grid": {"side": side}, "receiver": receiver})
+    for obstructed in (False, True):
+        s = scenario_from_config(cfg, 3, obstructed, h_scale=None)
+        rows, kept = run_scenario(s), run_scenario(s, keep_fields=True)
+        assert not rows.fields
+        assert np.array_equal(rows.h_raw.view(np.uint64),
+                              kept.h_raw.view(np.uint64))
+        assert repr(rows.metrics) == repr(kept.metrics)
+
+
+def test_receiver_row_limits():
+    # an int angle is echoed as given and placed as its float
+    cfg = validate_config({"receiver": {"theta_deg": 1}})
+    assert type(cfg["receiver"]["theta_deg"]) is int
+    assert np.array_equal(rx_positions_from(cfg),
+                          rx_positions_from(default_config()))
+    # a row may hold as many antennas as the grid has columns, no more
+    row = {"grid": {"side": 64}, "receiver": {"spacing_m": 0.01}}
+    row["receiver"]["num_antennas"] = 64
+    assert validate_config(row)
+    row["receiver"]["num_antennas"] = 65
+    assert _config_error_field(row) == "receiver.num_antennas"
 
 
 def test_a_ring_radius_for_any_order():
@@ -768,10 +806,10 @@ def test_propagation_steps_per_run(monkeypatch):
         steps.append(dz)
         return real_propagate(field, dz, *args, **kwargs)
 
-    def counting_launch(spectrum, dz):
+    def counting_launch(spectrum, dz, **kwargs):
         steps.append(dz)
         launches.append(dz)
-        return real_launch(spectrum, dz)
+        return real_launch(spectrum, dz, **kwargs)
 
     monkeypatch.setattr(propagation, "propagate", counting)
     monkeypatch.setattr(propagation, "launch", counting_launch)
