@@ -164,6 +164,8 @@ _RULES = [
     ("rx.guard_samples", lambda v: v >= 0, "must not be negative"),
     ("rx.pilot_symbols", lambda v: v >= MIN_PILOT_SYMBOLS,
      f"must be at least {MIN_PILOT_SYMBOLS}"),
+    ("healing.max_mode", lambda v: v <= MAX_ORDER,
+     f"must be at most {MAX_ORDER}"),
     ("obstruction.shape", lambda v: v in ("disk", "rectangle"),
      "must be 'disk' or 'rectangle'"),
     ("obstruction.width_m", lambda v: v > 0, "must be positive"),

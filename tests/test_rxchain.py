@@ -1,9 +1,16 @@
 """Receive-chain laws: pilot statistics, noise calibration, correlation,
 least-squares estimation, combining gain and the EVM-SNR relation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oamlink
 from oamlink import (ChannelSnapshot, MetricsReport, apply_channel,
                      compute_metrics, correlate_pilot, estimate_channel,
                      evm_percent, generate_pilot, mrc_combine, receive)
@@ -44,6 +51,19 @@ def test_noise_sigma_calibration():
     # Es = 2 for the two-point alphabet; at 20 dB sigma^2 = 2/100
     assert noise_sigma(20.0) == pytest.approx(np.sqrt(0.02), rel=1e-12)
     assert noise_sigma(0.0) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+def test_noiseless_channel_is_exact():
+    # +inf dB needs no branch of its own: the noise scale is exactly 0
+    assert noise_sigma(float("inf")) == 0.0
+    pilot = generate_pilot(2, 1024)
+    chan = ChannelSnapshot(h=np.array([0.3 - 0.4j, -1.2 + 0j, 0.5j]))
+    streams = apply_channel(pilot, chan, snr_db=float("inf"), noise_seed=4,
+                            guard_samples=16)
+    assert np.array_equal(streams[:, 16:-16],
+                          chan.h[:, None] * pilot.samples)
+    assert np.all(streams[:, :16] == 0)
+    assert np.all(streams[:, -16:] == 0)
 
 
 def test_stream_snr_matches_configuration():
@@ -239,6 +259,58 @@ def test_receive_determinism():
     _, _, b = receive(chan, pilot, 15.0, noise_seed=3, guard_samples=16)
     assert a.combined_evm_pct == b.combined_evm_pct
     assert a.snr_db == b.snr_db
+
+
+# Receive passes in a fresh process; prints the CPU seconds that threads
+# other than Python's took during them: BLAS workers.  The workers' own
+# start-up spin is over before the count begins.
+_FOREIGN_CPU_CHILD = textwrap.dedent("""
+    import os, threading, time
+    import numpy as np
+    from oamlink import ChannelSnapshot, generate_pilot, receive
+
+    def foreign_cpu_s():
+        python = {t.native_id for t in threading.enumerate()}
+        ticks = 0
+        for tid in os.listdir("/proc/self/task"):
+            if int(tid) not in python:
+                with open(f"/proc/self/task/{tid}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+                ticks += int(fields[11]) + int(fields[12])  # utime, stime
+        return ticks / os.sysconf("SC_CLK_TCK")
+
+    pilot = generate_pilot(7, 2048)
+    chan = ChannelSnapshot(h=np.array([1.0, 0.5j, -0.5, 0.2 + 0.2j]))
+    before, idle = foreign_cpu_s(), 0
+    for _ in range(40):
+        time.sleep(0.1)
+        now = foreign_cpu_s()
+        idle = idle + 1 if now == before else 0
+        before = now
+        if idle == 3:
+            break
+    for seed in range(24):
+        receive(chan, pilot, 20.0, noise_seed=seed, guard_samples=64)
+    print(foreign_cpu_s() - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux /proc and at least two cores")
+def test_receive_wakes_no_blas_worker():
+    # at the default pilot the estimate and the combiner are numpy sums and
+    # the level-1 dots left run on the calling thread, so no BLAS worker
+    # spins beside the caller whatever the BLAS thread count
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")}
+    src = str(Path(oamlink.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", _FOREIGN_CPU_CHILD], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert float(out.stdout) < 0.03
 
 
 def test_compute_metrics_deltas():

@@ -251,6 +251,10 @@ def test_z_samples_bound_follows_the_mask():
     ({"receiver": {"theta_deg": 2 ** 64}}, "receiver.theta_deg"),
     ({"receiver": {"num_antennas": 2 ** 64}}, "receiver.num_antennas"),
     ({"receiver": {"num_antennas": 10 ** 9}}, "receiver.num_antennas"),
+    # a mode spectrum past the largest order a run takes, which used to
+    # sample every analysis ring at 8 * max_mode points
+    ({"healing": {"max_mode": 17}}, "healing.max_mode"),
+    ({"healing": {"max_mode": 10 ** 9}}, "healing.max_mode"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -438,6 +442,7 @@ def test_a_ring_radius_for_any_order():
 
 def test_limits_of_the_boundary_checks():
     assert validate_config({"healing": {"max_mode": 4}})
+    assert validate_config({"healing": {"max_mode": 16}})
     assert validate_config({"grid": {"edge_margin": 0.0}})
     assert validate_config({"grid": {"edge_margin": 1.0}})
     assert validate_config({"receiver": {"num_antennas": 1}})
