@@ -1,7 +1,7 @@
 """Structural beam analysis: azimuthal (OAM) spectra on rings, field
 similarity, and the healing curve of an obstructed beam against the clear
-one, one ``HealingCurve.add`` per plane that ``propagation.advance_beams``
-yields."""
+one, one ``HealingCurve.add`` per analysis plane the beams reach
+(``scenario._run_order``)."""
 
 from __future__ import annotations
 
@@ -36,13 +36,14 @@ class HealingCurve:
     mode_purity: list
 
     def add(self, z: float, clear: ScalarField,
-            obstructed: ScalarField | None, order_l: int, ring_radius: float,
-            max_mode: int = 8) -> None:
+            obstructed: ScalarField | None, order_l: int,
+            ring_radius: float) -> None:
         """Append plane ``z``: the similarity and mode purity of the
         obstructed beam against the clear one, on the annulus the
         conical-spread estimate puts around a ring of ``ring_radius``.
         Without an obstructed beam the clear one is its own reference:
-        similarity 1, purity of the clear beam."""
+        similarity 1, purity of the clear beam.  The purity, |c_l|^2 over the
+        whole ring power, needs no mode past |l|."""
         beam_r = beam_radius_at(z, order_l, ring_radius, clear.wavenumber)
         beam_r = min(beam_r, (clear.extent / 2.0 - clear.spacing) / 1.5)
         if obstructed is None:
@@ -51,7 +52,7 @@ class HealingCurve:
             similarity = field_similarity(obstructed, clear,
                                           (0.5 * beam_r, 1.5 * beam_r))
             beam = obstructed
-        purity = azimuthal_spectrum(beam, beam_r, max_mode).purity(order_l)
+        purity = azimuthal_spectrum(beam, beam_r, abs(order_l)).purity(order_l)
         self.z_values.append(z)
         self.similarity.append(similarity)
         self.mode_purity.append(purity)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bessel import MAX_ORDER, bessel_j_signed, first_max_abscissa
 from .errors import GeometryError, NyquistError
-from .field import FieldSpectrum, ScalarField
+from .field import FieldSpectrum, ScalarField, cell_corners
 
 
 def check_order(l: int) -> int:
@@ -110,19 +110,9 @@ def _splat(ring: SourceRing, side: int, extent: float) -> tuple:
     n_src = ring.num_elements_N
     phi = 2.0 * np.pi * np.arange(n_src) / n_src
     amp = ring.amplitude * np.exp(1j * ring.order_l * phi)
-    xs = ring.radius_r * np.cos(phi)
-    ys = ring.radius_r * np.sin(phi)
-
     spacing = extent / side
-    # fractional grid indices (row = y, col = x)
-    fc = xs / spacing + side // 2
-    fr = ys / spacing + side // 2
-    c0 = np.floor(fc).astype(int)
-    r0 = np.floor(fr).astype(int)
-    wc = fc - c0
-    wr = fr - r0
-    if np.any(c0 < 0) or np.any(r0 < 0) or np.any(c0 + 1 >= side) or np.any(r0 + 1 >= side):
-        raise GeometryError("ring falls outside the grid")
+    r0, c0, wr, wc = cell_corners(side, spacing, np.column_stack(
+        [ring.radius_r * np.cos(phi), ring.radius_r * np.sin(phi)]))
     top, left = int(r0.min()), int(c0.min())
     r0 -= top
     c0 -= left

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, PlaneMismatchError
+from .errors import GeometryError, OutOfExtentError, PlaneMismatchError
 
 _MAGIC = b"OAMF"
 _VERSION = 1
@@ -80,6 +80,22 @@ class ScalarField:
         if abs(self.z_position - other.z_position) > atol:
             raise PlaneMismatchError(
                 f"fields at z={self.z_position} vs z={other.z_position}")
+
+
+def cell_corners(n: int, spacing: float, points) -> tuple:
+    """(r0, c0, wr, wc): each (x, y) point's cell on an ``n``^2 grid of
+    ``spacing``, on ``ScalarField``'s convention, and its offsets in it."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    fc = pts[:, 0] / spacing + n // 2
+    fr = pts[:, 1] / spacing + n // 2
+    inside = (fc >= 0) & (fr >= 0) & (fc <= n - 1) & (fr <= n - 1)
+    if not inside.all():   # a NaN point fails every comparison
+        raise OutOfExtentError("sample point outside the grid extent")
+    c0 = np.minimum(np.floor(fc).astype(int), n - 2)
+    r0 = np.minimum(np.floor(fr).astype(int), n - 2)
+    return r0, c0, fr - r0, fc - c0
 
 
 @dataclass(frozen=True)

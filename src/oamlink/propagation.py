@@ -1,6 +1,5 @@
 """Free-space propagation of sampled scalar fields and of band-limited
-spectra, obstruction masks, and the walk of the clear and obstructed beams
-through the analysis planes (``advance_beams``).
+spectra, obstruction masks, and bilinear sampling of a field at points.
 
 Propagation uses the band-limited angular-spectrum method (Matsushima &
 Shimobaba, Opt. Express 17, 19662, 2009): FFT the field, advance every
@@ -13,14 +12,14 @@ A step runs, in one grid, the forward FFT, the multiply by the transfer
 function H and the inverse FFT; the returned field holds the grid.  The
 FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
 numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
-bits, and a run imports no scipy.  The ``out`` of a step, or of
+bits, and a run imports no ``scipy.fft``.  The ``out`` of a step, or of
 ``apply_mask``, is None, for a new grid with the field copied into it and
 the field never written, or ``field.samples``, for the same passes in the
 field's own grid with no copy.  ``propagate_to`` steps in place from its
 second step on, since those fields are its own, and the runners
-(``advance_beams``, ``scenario.run_scenario``) pass the grids they made
-as ``out``, so a walk holds one grid per beam.  A walk that starts from a
-band-limited spectrum (``FieldSpectrum``, e.g. the source from
+(``scenario.run_scenario``, ``scenario._run_order``) pass the grids they
+made as ``out``, so a walk holds one grid per beam.  A walk that starts
+from a band-limited spectrum (``FieldSpectrum``, e.g. the source from
 ``beams.source_spectrum``) takes its first step as a ``launch``: the
 spectrum's box of bins times H and one inverse FFT, with no forward FFT,
 into a new grid.  The launch builds H over its box alone (195^2 bins at
@@ -62,11 +61,11 @@ split (``_split``) into one range of columns or rows per core, over
 The calling thread runs the first range and helper threads
 (``_part_pool``, started on first use) the others.  The mask's multiply
 and the launch's scatter are memory-bound (in place at 1024^2 on 2 cores,
-no faster split) and run on the calling thread.  The beams step one after
-the other.  Each FFT runs on one thread and releases the GIL.  The 1-D
-transforms are independent and 1/side per inverse pass is a power of
-two, so whatever the count a step is bit for bit ``fft`` along axis 0,
-then axis 1, times H, then ``ifft`` along axis 0, then axis 1.
+no faster split) and run on the calling thread.  A runner's beams step
+one after the other.  Each FFT runs on one thread and releases the GIL.
+The 1-D transforms are independent and 1/side per inverse pass is a
+power of two, so whatever the count a step is bit for bit ``fft`` along
+axis 0, then axis 1, times H, then ``ifft`` along axis 0, then axis 1.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .errors import GeometryError, OutOfExtentError, PlaneMismatchError
-from .field import FieldSpectrum, ScalarField
+from .errors import GeometryError, PlaneMismatchError
+from .field import FieldSpectrum, ScalarField, cell_corners
 
 _FFT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -490,65 +489,9 @@ def apply_mask(field: ScalarField, mask: ObstructionMask,
     return field.with_samples(grid)
 
 
-def advance_beams(source: ScalarField | FieldSpectrum,
-                  mask: ObstructionMask | None, z_planes,
-                  max_step: float = 10.0, edge_margin: float = 0.05):
-    """Carry the clear beam from ``source`` and, behind ``mask``, the
-    obstructed beam through the strictly increasing ``z_planes``, which must
-    all lie beyond the mask.  From a spectrum the first step is its launch
-    (``propagate_to``).
-
-    Yields ``(z, clear, obstructed)`` once per plane of ``z_planes``;
-    obstructed is None when ``mask`` is None.  Both beams share the hop to
-    the mask, where the obstructed one is split off as a masked copy.  Each
-    beam then steps in the grid the walk made for it (``out``), so the walk
-    holds one grid per beam, and a yielded field is valid until the walk
-    resumes: the next hop writes its samples.  A caller that wants a plane
-    for longer copies it.  The walk never writes ``source``.
-
-    The beams step one after the other on the calling thread, the clear
-    one first, each step's FFT passes split over every core (``_split``).
-    """
-    z_planes = list(z_planes)
-    if any(b <= a for a, b in zip(z_planes, z_planes[1:])):
-        raise GeometryError("planes must be strictly increasing")
-    if mask is not None and z_planes and z_planes[0] <= mask.z_position:
-        raise GeometryError("all planes must lie beyond the obstruction")
-    clear, obstructed = source, None
-    del source
-    if mask is not None:
-        clear = propagate_to(clear, mask.z_position, max_step, edge_margin)
-        obstructed = apply_mask(clear, mask)
-    owned = mask is not None   # whether the clear beam is in the walk's grid
-    for z in z_planes:
-        clear = propagate_to(clear, z, max_step, edge_margin,
-                             clear.samples if owned else None)
-        owned = True
-        if obstructed is not None:
-            obstructed = propagate_to(obstructed, z, max_step, edge_margin,
-                                      obstructed.samples)
-        yield z, clear, obstructed
-
-
-def _corners(n: int, spacing: float, points) -> tuple:
-    """(r0, c0, wr, wc): each point's cell on an ``n``^2 grid, and its
-    offsets in it."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    fc = pts[:, 0] / spacing + n // 2
-    fr = pts[:, 1] / spacing + n // 2
-    inside = (fc >= 0) & (fr >= 0) & (fc <= n - 1) & (fr <= n - 1)
-    if not inside.all():   # a NaN point fails every comparison
-        raise OutOfExtentError("sample point outside the grid extent")
-    c0 = np.minimum(np.floor(fc).astype(int), n - 2)
-    r0 = np.minimum(np.floor(fr).astype(int), n - 2)
-    return r0, c0, fr - r0, fc - c0
-
-
 def sample_points(field: ScalarField, points) -> np.ndarray:
     """Bilinear interpolation of the complex grid at (x, y) positions."""
-    r0, c0, wr, wc = _corners(field.side, field.spacing, points)
+    r0, c0, wr, wc = cell_corners(field.side, field.spacing, points)
     u = field.samples
     return ((1 - wr) * (1 - wc) * u[r0, c0]
             + (1 - wr) * wc * u[r0, c0 + 1]
@@ -563,7 +506,7 @@ def sample_at(field: ScalarField | FieldSpectrum, z_target: float, points,
     out), points)``, bit for bit, but the last step finishes, on the calling
     thread, only the rows the points read; no field of that unfinished grid
     (with ``out``, the field's own) is returned."""
-    r0 = _corners(field.side, field.extent / field.side, points)[0]
+    r0 = cell_corners(field.side, field.extent / field.side, points)[0]
     rows = (int(r0.min()), int(r0.max()) + 2) if r0.size else (0, 0)
     return sample_points(propagate_to(field, z_target, max_step, edge_margin,
                                       out, _rows=rows), points)

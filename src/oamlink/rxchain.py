@@ -1,7 +1,8 @@
 """Baseband receive chain: pilot generation, flat-fading channel with
 additive noise, pilot correlation, least-squares channel estimation,
-maximal-ratio combining and link metrics.  The estimate and the combiner
-are numpy sums, not BLAS products: the BLAS calls left are level-1 dots.
+maximal-ratio combining and link metrics.  It makes no BLAS call (the
+correlation runs on ``numpy.fft``, the sums are numpy's), so its bits do
+not depend on the BLAS thread count.
 
 The channel per antenna is a single complex gain taken from the sampled
 field (frequency-flat: 20 MHz over a 50 m line-of-sight hop gives
@@ -37,6 +38,12 @@ class PilotSignal:
     def samples(self) -> np.ndarray:
         """Symbol stream oversampled by rectangular hold."""
         return np.repeat(self.symbols, OVERSAMPLE)
+
+    @property
+    def energy(self) -> float:
+        """sum |samples|^2, exact for the pilot's alphabet in any order."""
+        p = self.samples
+        return float(np.sum(p.real ** 2 + p.imag ** 2))
 
 
 @dataclass(frozen=True)
@@ -114,17 +121,18 @@ def correlate_pilot(stream: np.ndarray, pilot: PilotSignal) -> CorrelationTrace:
     Lag l compares stream[l : l+Np] with the pilot; normalization uses the
     sliding-window stream energy so an attenuated, delayed copy still peaks
     at height 1.  The complex gain at the peak is reported separately.
-    """
+    <s[l:l+Np], p> is a circular correlation by FFTs over the stream's
+    length, which no valid lag wraps: the direct sum to a few ulp of the
+    peak."""
     p = pilot.samples
     s = np.asarray(stream)
     if s.size < p.size:
         raise GeometryError("stream shorter than the pilot")
     n_lags = s.size - p.size + 1
-    # <s[l:l+Np], p> for all lags as a direct sum (np.correlate conjugates p)
-    full = np.correlate(s, p, mode="valid")
+    full = np.fft.ifft(np.fft.fft(s) * np.conj(np.fft.fft(p, s.size)))[:n_lags]
     energy = np.concatenate([[0.0], np.cumsum(np.abs(s) ** 2)])
     win = energy[p.size:] - energy[:n_lags]
-    norm_p = np.linalg.norm(p)
+    norm_p = np.sqrt(pilot.energy)
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.abs(full) / (norm_p * np.sqrt(win))
     mag[~np.isfinite(mag)] = 0.0
@@ -139,7 +147,7 @@ def estimate_channel(streams: np.ndarray, pilot: PilotSignal,
                      label: str = "clear", mode: int = 0) -> ChannelSnapshot:
     """Least-squares per-antenna gains h_i = <stream_i, pilot> / ||pilot||^2."""
     p = pilot.samples
-    denom = float(np.vdot(p, p).real)
+    denom = pilot.energy
     if denom <= 0:
         raise ChannelError("pilot has zero energy")
     h = (streams[:, :p.size] * np.conj(p)).sum(axis=1) / denom

@@ -21,11 +21,10 @@ from .beams import SourceRing, matched_radius, source_spectrum
 from .bessel import MAX_ORDER
 from .errors import ChannelError, ConfigError, OamLinkError
 from .field import FieldSpectrum, write_field
-from .link_design import (SPEED_OF_LIGHT, LinkBudget, compare_with_reference,
-                          derive_link, max_beam_radius)
-from .propagation import (ObstructionMask, advance_beams, apply_mask,
-                          propagate_to, sample_at, sample_points,
-                          spectrum_field)
+from .link_design import (REFERENCE_REPORTED, SPEED_OF_LIGHT, LinkBudget,
+                          compare_with_reference, derive_link, max_beam_radius)
+from .propagation import (ObstructionMask, apply_mask, propagate_to,
+                          sample_at, sample_points, spectrum_field)
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
                       generate_pilot, noise_sigma, receive)
 from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
@@ -100,7 +99,6 @@ def default_config() -> dict:
         "healing": {
             "z_samples_m": [11.0, 15.0, 20.0, 25.0, 30.0,
                             35.0, 40.0, 45.0, 50.0],
-            "max_mode": 8,
         },
     }
 
@@ -136,6 +134,14 @@ def _check_type(path: str, value, default) -> None:
         raise ConfigError(path, f"must be finite, got {value!r}")
 
 
+# Sizes past these fail here, by field, not mid-run in numpy or in a loop
+# that does not end: a run holds about 2.4 padded grids (2.5 GiB at 8192^2);
+# 2**18 pilot symbols are 16 MiB of stream per antenna; 2**16 guard samples
+# (0.5 ms) and ring elements are far past a 50 m hop's delay and the 238
+# elements of the modelled ring; each noise seed is two receive passes.
+_MAX_SIDE, _MAX_PILOT_SYMBOLS, _MAX_GUARD_SAMPLES = 2 ** 13, 2 ** 18, 2 ** 16
+_MAX_RING_ELEMENTS, _MAX_NOISE_SEEDS = 2 ** 16, 1000
+
 # The rules of a single field, checked in this order once every value has
 # its default's type: (path, test, message).  The obstruction's rows hold
 # only while the mask is enabled.
@@ -151,21 +157,24 @@ _RULES = [
     ("link.num_modes", lambda v: v >= 2, "must be at least 2"),
     ("link.rx_spacing_m", lambda v: v > 0, "must be positive"),
     ("link.distance_m", lambda v: v > 0, "must be positive"),
-    ("grid.side", lambda v: v >= 64 and not v & (v - 1),
-     "must be a power of two >= 64"),
+    ("grid.side", lambda v: 64 <= v <= _MAX_SIDE and not v & (v - 1),
+     f"must be a power of two in [64, {_MAX_SIDE}]"),
     ("grid.max_step_m", lambda v: v > 0, "must be positive"),
     ("grid.theta_max_deg", lambda v: 0 < v < 90, "must lie in (0, 90) degrees"),
     ("grid.edge_margin", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
     ("receiver.num_antennas", lambda v: v >= 1, "must be at least 1"),
-    ("rx.num_noise_seeds", lambda v: v >= 1, "must be at least 1"),
+    ("rx.num_noise_seeds", lambda v: 1 <= v <= _MAX_NOISE_SEEDS,
+     f"must lie in [1, {_MAX_NOISE_SEEDS}]"),
     ("rx.snr_db", _has_noise_scale, "must give a finite, positive noise scale"),
     ("rx.noise_seed", lambda v: v >= 0, "must not be negative"),
     ("rx.pilot_seed", lambda v: v >= 0, "must not be negative"),
-    ("rx.guard_samples", lambda v: v >= 0, "must not be negative"),
-    ("rx.pilot_symbols", lambda v: v >= MIN_PILOT_SYMBOLS,
-     f"must be at least {MIN_PILOT_SYMBOLS}"),
-    ("healing.max_mode", lambda v: v <= MAX_ORDER,
-     f"must be at most {MAX_ORDER}"),
+    ("rx.guard_samples", lambda v: 0 <= v <= _MAX_GUARD_SAMPLES,
+     f"must lie in [0, {_MAX_GUARD_SAMPLES}]"),
+    ("rx.pilot_symbols",
+     lambda v: MIN_PILOT_SYMBOLS <= v <= _MAX_PILOT_SYMBOLS,
+     f"must lie in [{MIN_PILOT_SYMBOLS}, {_MAX_PILOT_SYMBOLS}]"),
+    ("ring_elements", lambda v: v <= _MAX_RING_ELEMENTS,
+     f"must be at most {_MAX_RING_ELEMENTS}"),
     ("obstruction.shape", lambda v: v in ("disk", "rectangle"),
      "must be 'disk' or 'rectangle'"),
     ("obstruction.width_m", lambda v: v > 0, "must be positive"),
@@ -237,10 +246,6 @@ def validate_config(cfg: dict, orders=None) -> dict:
         if obstruction["shape"] == "rectangle" \
                 and not obstruction["height_m"] > 0:
             raise ConfigError("obstruction.height_m", "must be positive")
-    max_mode = merged["healing"]["max_mode"]
-    if max_mode < max(abs(order) for order in modes):
-        raise ConfigError("healing.max_mode", f"must reach the largest |l| "
-                                              f"in modes, got {max_mode}")
     z_min = obstruction["z_m"] if obstruction["enabled"] else 0.0
     planes = merged["healing"]["z_samples_m"]
     if not planes or any(isinstance(z, bool) or not isinstance(z, (int, float))
@@ -275,10 +280,7 @@ def ring_radius_for(cfg: dict, order_l: int) -> float:
     key = str(order_l)
     if key in radii:
         return float(radii[key])
-    ref_l, ref_r = _REFERENCE_RING
-    if order_l == 0:
-        raise ConfigError("modes", "order 0 has no matched ring radius")
-    return matched_radius(order_l, ref_l, ref_r)
+    return matched_radius(order_l, *_REFERENCE_RING)
 
 
 def wavelength_from(cfg: dict) -> float:
@@ -439,8 +441,9 @@ def link_plan(cfg: dict) -> dict:
         "tx_radius_m": derived.tx_radius_r,
         "far_field_m": derived.far_field_L_far,
         "num_elements": derived.num_elements_N,
-        "reference_comparison": compare_with_reference(
-            derive_link(budget, 0.87, wavelength=0.011)),
+        "reference_comparison": compare_with_reference(derive_link(
+            budget, REFERENCE_REPORTED["beam_radius_operating_m"],
+            wavelength=REFERENCE_REPORTED["wavelength_m"])),
     }
 
 
@@ -509,22 +512,31 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
 
 def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     """One order of the matrix: the clear and obstructed beams through the
-    analysis planes, sharing the hop to the mask, with the healing curve on
-    the way; then their channels at the last plane, equalized, through the
-    receive chain.  The last-plane fields go to ``dump_dir`` unless it is
+    analysis planes, sharing the launch to the mask, with the healing curve
+    on the way; then their channels at the last plane, equalized, through
+    the receive chain.  From the mask, where the obstructed beam is split
+    off as a masked copy, each beam steps in its own grid (``out``), the
+    clear one first.  The last-plane fields go to ``dump_dir`` unless it is
     None.  Returns the order's report entry and the (channel, correlation
     traces) pairs of the clear and obstructed runs at the first noise
     seed."""
     grid, rx = cfg["grid"], cfg["rx"]
-    walk = advance_beams(_source_spectrum(cfg, l), mask, z_samples,
-                         grid["max_step_m"], grid["edge_margin"])
+    max_step, margin = grid["max_step_m"], grid["edge_margin"]
     radius = ring_radius_for(cfg, l)
     curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
+    clear, obst = _source_spectrum(cfg, l), None
     with _stage("propagation"):
-        for z, clear, obst in walk:
+        if mask is not None:
+            clear = propagate_to(clear, mask.z_position, max_step, margin)
+            obst = apply_mask(clear, mask)
+        for z in z_samples:
+            # the first hop from the source is its launch, into a new grid
+            out = None if isinstance(clear, FieldSpectrum) else clear.samples
+            clear = propagate_to(clear, z, max_step, margin, out)
+            if obst is not None:
+                obst = propagate_to(obst, z, max_step, margin, obst.samples)
             with _stage("sampling"):
-                curve.add(z, clear, obst, l, radius,
-                          cfg["healing"]["max_mode"])
+                curve.add(z, clear, obst, l, radius)
     with _stage("sampling"):
         positions = rx_positions_from(cfg)
         h_clear = sample_points(clear, positions)

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
-                     field_similarity, propagation, run_scenario,
-                     scenario_from_config, source_spectrum, spectrum_field,
-                     validate_config)
+                     field_similarity, generate_pilot, propagation,
+                     run_scenario, scenario, scenario_from_config,
+                     source_spectrum, spectrum_field, validate_config)
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
-from oamlink.errors import GeometryError, NyquistError
-from oamlink.propagation import (advance_beams, propagate_to, sample_points,
-                                 _GRID_PAD)
-from oamlink.scenario import (obstruction_from, ring_radius_for,
-                              wavelength_from)
+from oamlink.errors import ConfigError, GeometryError, NyquistError
+from oamlink.propagation import propagate_to, sample_points, _GRID_PAD
+from oamlink.scenario import obstruction_from
 from tests.test_propagation import _count_builds
 
 
@@ -192,55 +190,74 @@ def test_similarity_annulus_off_the_grid_has_no_power():
         field_similarity(a, a, (3.0, 3.5))      # past the grid corner
 
 
-def _healing_curve(source, mask, z_samples):
-    """The healing curve of ``source`` past ``mask`` at ``z_samples``, as
-    ``scenario`` builds it for an order-2 ring of radius 0.149 m."""
-    curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
-    for z, clear, obst in advance_beams(source, mask, z_samples):
-        curve.add(z, clear, obst, 2, 0.149)
-    return curve
+def _run_order(cfg, planes, l=2):
+    """``scenario._run_order`` of order ``l`` of ``cfg`` through ``planes``,
+    as ``run_experiment`` calls it; returns the order's report entry."""
+    rx = cfg["rx"]
+    pilot = generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
+    return scenario._run_order(cfg, l, obstruction_from(cfg), planes, pilot,
+                               None)[0]
+
+
+def _healing_curve(mask, z_samples):
+    """The healing curve of the order-2 ring (radius 0.149 m) on a 256^2
+    grid over 3 m, past the ``mask`` config section, at ``z_samples``."""
+    cfg = validate_config({"grid": {"side": 256, "extent_m": 3.0},
+                           "link": {"wavelength_override_m": 0.010707},
+                           "obstruction": mask})
+    return _run_order(cfg, z_samples)["healing_curve"]
 
 
 def test_healing_curve_control_and_validation():
-    lam = 0.010707
-    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    src = spectrum_field(source_spectrum(ring, 256, 3.0, lam,
-                                         math.radians(5.0)))
     # control run without a mask: similarity is identically 1
-    curve = _healing_curve(src, None, [1.0, 2.0])
-    assert isinstance(curve, HealingCurve)
-    assert curve.z_values == [1.0, 2.0]
-    assert all(s == pytest.approx(1.0, abs=1e-12) for s in curve.similarity)
-    assert all(0.0 <= p <= 1.0 for p in curve.mode_purity)
+    curve = _healing_curve({"enabled": False}, [1.0, 2.0])
+    assert curve["z_m"] == [1.0, 2.0]
+    assert all(s == pytest.approx(1.0, abs=1e-12) for s in curve["similarity"])
+    assert all(0.0 <= p <= 1.0 for p in curve["mode_purity"])
 
-    mask = ObstructionMask("rectangle", 0.0, -0.1, (0.3, 0.2), 0.5)
-    with pytest.raises(GeometryError):
-        _healing_curve(src, mask, [2.0, 1.5])      # not increasing
-    with pytest.raises(GeometryError):
-        _healing_curve(src, mask, [0.4, 1.0])      # before the mask
-    curve = _healing_curve(src, mask, [1.0, 2.0])
-    assert curve.z_values == [1.0, 2.0]
-    assert all(0.0 <= s <= 1.0 + 1e-12 for s in curve.similarity)
+    mask = {"center_y_m": -0.1, "width_m": 0.3, "height_m": 0.2, "z_m": 0.5}
+    # the run's planes are the config's: they must increase and lie past
+    # the mask
+    for planes in ([2.0, 1.5], [0.4, 1.0]):             # not increasing,
+        with pytest.raises(ConfigError) as err:         # before the mask
+            validate_config({"obstruction": mask,
+                             "healing": {"z_samples_m": planes}})
+        assert err.value.field == "healing.z_samples_m"
+    curve = _healing_curve(mask, [1.0, 2.0])
+    assert curve["z_m"] == [1.0, 2.0]
+    assert all(0.0 <= s <= 1.0 + 1e-12 for s in curve["similarity"])
 
 
-def _walk(monkeypatch, cores, source, mask, planes, threads):
-    """Every plane of ``advance_beams`` with the core count set to
-    ``cores``, each field copied as it is yielded; ``threads`` collects the
-    name of the thread of every ``propagate`` call."""
-    real = propagation.propagate
+def _walk(monkeypatch, cores, cfg, planes, threads):
+    """``_run_order`` of order 2 of ``cfg`` through ``planes`` with the core
+    count set to ``cores``.  Returns copies of the (z, clear, obstructed)
+    fields of each plane as the healing curve reads them, and the source
+    spectrum the run launched with a copy of its values; ``threads``
+    collects the name of the thread of every ``propagate`` call."""
+    real, real_add = propagation.propagate, HealingCurve.add
+    real_source = scenario.source_spectrum
+    copies, sources = [], []
 
     def recording(field, dz, *args, **kwargs):
         threads.append(threading.current_thread().name)
         return real(field, dz, *args, **kwargs)
 
-    monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
-    monkeypatch.setattr(propagation, "propagate", recording)
-    yielded, copies = [], []
-    for z, clear, obst in advance_beams(source, mask, planes):
-        yielded.append((z, clear, obst))
+    def add(curve, z, clear, obst, *args):
         copies.append((z, clear.samples.copy(),
                        None if obst is None else obst.samples.copy()))
-    return yielded, copies
+        real_add(curve, z, clear, obst, *args)
+
+    def source(*args):
+        spectrum = real_source(*args)
+        sources.append((spectrum, spectrum.values.copy()))
+        return spectrum
+
+    monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+    monkeypatch.setattr(propagation, "propagate", recording)
+    monkeypatch.setattr(HealingCurve, "add", add)
+    monkeypatch.setattr(scenario, "source_spectrum", source)
+    _run_order(cfg, planes)
+    return copies, sources
 
 
 def _bits(samples):
@@ -248,18 +265,18 @@ def _bits(samples):
 
 
 def _walk_case(side=256):
-    lam = 299792458.0 / 28e9
-    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
-    source = source_spectrum(ring, side, 6.0, lam, math.radians(5.0))
-    mask = ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0)
-    return source, mask, [11.0, 15.0, 30.0]
+    """The default config on a ``side``^2 grid over 6 m, and three of the
+    planes past its mask."""
+    return (validate_config({"grid": {"side": side, "extent_m": 6.0}}),
+            [11.0, 15.0, 30.0])
 
 
 def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
-    source, mask, planes = _walk_case()
-    values = source.values.copy()
+    cfg, planes = _walk_case()
+    mask = obstruction_from(cfg)
     # the reference: public steps, each into a grid of its own
-    clear = propagate_to(source, mask.z_position, 10.0, 0.05)
+    clear = propagate_to(scenario._source_spectrum(cfg, 2), mask.z_position,
+                         10.0, 0.05)
     obst = apply_mask(clear, mask)
     chain = []
     for z in planes:
@@ -268,15 +285,16 @@ def test_concurrent_walk_matches_the_sequential_one(monkeypatch):
         chain.append((z, clear.samples, obst.samples))
     for cores in (1, 2, 4):
         threads = []
-        _, copies = _walk(monkeypatch, cores, source, mask, planes, threads)
+        copies, [(source, values)] = _walk(monkeypatch, cores, cfg, planes,
+                                           threads)
         assert np.array_equal(source.values, values)   # never written
         # the beams step one after the other: every step starts on the
-        # calling thread, whatever the core count, and the walk starts no
+        # calling thread, whatever the core count, and the run starts no
         # thread of its own
         assert threads and set(threads) == {threading.current_thread().name}
         assert not any(t.name.startswith("oamlink-beam")
                        for t in threading.enumerate())
-        assert [z for z, _, _ in copies] == planes   # one yield per plane
+        assert [z for z, _, _ in copies] == planes   # one entry per plane
         for (z, c, o), (z_ref, c_ref, o_ref) in zip(copies, chain):
             assert z == z_ref
             assert np.array_equal(_bits(c), _bits(c_ref))
@@ -301,59 +319,44 @@ def _peak_grids(run, side, cold=False):
     return peak / (side * (side + _GRID_PAD) * 16)
 
 
-def _default_walk(side, orders=(2,), healing=False):
-    """A call that walks the default experiment's beams of each of
-    ``orders`` on a ``side``^2 grid to the end, one order after the other,
-    as ``run_experiment`` does: the launch to the mask at 10 m, then hops
-    of 1, 4 and 5 m.  With ``healing`` every plane is added to the order's
-    healing curve."""
+def _default_walk(side, orders=(2,)):
+    """A call that runs each of ``orders`` of the default config on a
+    ``side``^2 grid, one order after the other, as ``run_experiment`` does:
+    the launch to the mask at 10 m, then hops of 1, 4 and 5 m, with the
+    healing curve at every plane."""
     cfg = validate_config({"grid": {"side": side}})
-    grid = cfg["grid"]
-    sources = {}
-    for l in orders:
-        ring = SourceRing(radius_r=ring_radius_for(cfg, l),
-                          num_elements_N=cfg["ring_elements"], order_l=l)
-        sources[l] = source_spectrum(ring, side, grid["extent_m"],
-                                     wavelength_from(cfg),
-                                     math.radians(grid["theta_max_deg"]))
     planes = cfg["healing"]["z_samples_m"]   # 11, 15, 20, ..., 50 m
-
-    def one_order(l):
-        # like _run_order, its beams are gone when it returns
-        curve = HealingCurve(z_values=[], similarity=[], mode_purity=[])
-        for z, clear, obst in advance_beams(
-                sources[l], obstruction_from(cfg), planes,
-                grid["max_step_m"], grid["edge_margin"]):
-            if healing:
-                curve.add(z, clear, obst, l, ring_radius_for(cfg, l),
-                          cfg["healing"]["max_mode"])
 
     def walk():
         for l in orders:
-            one_order(l)
+            _run_order(cfg, planes, l)   # its beams are gone when it returns
 
     return walk
 
 
-def test_runs_hold_one_grid_per_beam():
-    # each beam steps in the grid the run made for it: the walk holds the
-    # clear and the obstructed beam's grids, not a copy of each per step
-    source, mask, planes = _walk_case()
+def test_runs_hold_one_grid_per_beam(monkeypatch):
+    # each beam steps in the grid the run made for it: up to the last plane
+    # the run holds the clear and the obstructed beam's grids, not a copy of
+    # each per step.  The peak is read there, before the receive chain,
+    # whose streams take as much as two 256^2 grids
+    cfg, planes = _walk_case()
+    walked, real_add = [], HealingCurve.add
 
-    def walk():
-        for _ in advance_beams(source, mask, planes):
-            pass
+    def add(curve, z, *args):
+        real_add(curve, z, *args)
+        if z == planes[-1]:
+            walked.append(tracemalloc.get_traced_memory()[1])
 
-    assert _peak_grids(walk, 256) < 3
-    # from cold, the default walk adds one transfer-function quadrant (0.25
+    monkeypatch.setattr(HealingCurve, "add", add)
+    _peak_grids(lambda: _run_order(cfg, planes), 256)
+    assert walked[-1] / (256 * (256 + _GRID_PAD) * 16) < 3
+    # from cold, the default run adds one transfer-function quadrant (0.25
     # grids) and a build's temporaries: each hop length frees the quadrant
     # of the one before, and the launch holds none
     assert _peak_grids(_default_walk(1024), 1024, cold=True) < 2.4
-    # both orders, one after the other, with the healing curve at every
-    # plane: the similarity's temporaries are a block of rows, not the
-    # annulus
-    assert _peak_grids(_default_walk(1024, (2, 4), healing=True), 1024,
-                       cold=True) < 2.5
+    # both orders, one after the other: the similarity's temporaries are a
+    # block of rows, not the annulus
+    assert _peak_grids(_default_walk(1024, (2, 4)), 1024, cold=True) < 2.5
     # the obstructed scenario launches, masks and steps one grid
     s = scenario_from_config(validate_config({}), 2, obstructed=True)
     assert _peak_grids(lambda: run_scenario(s), 1024) < 1.2
@@ -386,15 +389,19 @@ def _record_fft_threads(monkeypatch):
 
 
 def test_one_beam_stays_on_the_calling_thread(monkeypatch):
-    f = _ring_field(side=128, extent=2.0, ring=0.5)
+    # without the mask one beam runs: a launch to the first plane, whose
+    # box is the whole 64^2 grid over 12 m (two passes), then a step to
+    # each later plane (four passes), each pass in two parts, one on the
+    # calling thread and one on the helper pool
+    cfg = validate_config({"grid": {"side": 64},
+                           "obstruction": {"enabled": False}})
+    planes = [1.0, 2.0, 3.0]
     threads = []
     parts = _record_fft_threads(monkeypatch)
-    yielded, _ = _walk(monkeypatch, 2, f, None, [1.0, 2.0], threads)
-    assert len(threads) == len(yielded)
-    assert not any(name.startswith("oamlink-beam") for name in threads)
-    # each step's FFT passes run in two parts, one on the calling thread and
-    # one on the helper pool
-    assert len(parts) == 2 * 4 * len(yielded)
+    copies, _ = _walk(monkeypatch, 2, cfg, planes, threads)
+    assert [z for z, _, obst in copies if obst is None] == planes
+    assert threads == [threading.current_thread().name] * (len(planes) - 1)
+    assert len(parts) == 2 * 2 + 2 * 4 * (len(planes) - 1)
     assert parts.count(threading.current_thread().name) == len(parts) // 2
     assert sum(name.startswith("oamlink-part") for name in parts) \
         == len(parts) // 2

@@ -103,6 +103,15 @@ def test_correlation_peak_lag_height_and_gain():
     assert trace.peak_lag == delay
     assert trace.peak_height == pytest.approx(1.0, abs=0.01)
     assert trace.gain == pytest.approx(h, abs=0.005)
+    # the correlation by FFT against the direct sum at every lag, to a few
+    # units in the last place of the peak
+    direct = np.array([np.sum(stream[lag:lag + pilot.samples.size]
+                              * np.conj(pilot.samples))
+                       for lag in trace.lags])
+    win = np.array([np.sum(np.abs(stream[lag:lag + pilot.samples.size]) ** 2)
+                    for lag in trace.lags])
+    reference = np.abs(direct) / np.sqrt(pilot.energy * win)
+    assert np.max(np.abs(trace.magnitude - reference)) < 1e-14
     # energy normalization: scaling the stream does not move or grow the peak
     scaled = correlate_pilot(7.0 * stream, pilot)
     assert scaled.peak_lag == delay
@@ -295,22 +304,54 @@ _FOREIGN_CPU_CHILD = textwrap.dedent("""
 """)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs Linux /proc and at least two cores")
-def test_receive_wakes_no_blas_worker():
-    # at the default pilot the estimate and the combiner are numpy sums and
-    # the level-1 dots left run on the calling thread, so no BLAS worker
-    # spins beside the caller whatever the BLAS thread count
+def _run_child(child: str, **env_set) -> str:
+    """The standard output of ``child`` run in a fresh Python process on
+    this checkout's package, with the BLAS thread settings cleared and then
+    ``env_set`` set."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                           "MKL_NUM_THREADS")}
     src = str(Path(oamlink.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", _FOREIGN_CPU_CHILD], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    assert float(out.stdout) < 0.03
+    return subprocess.run([sys.executable, "-c", child],
+                          env={**env, **env_set}, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux /proc and at least two cores")
+def test_receive_wakes_no_blas_worker():
+    # the receive chain makes no BLAS call, so no BLAS worker spins beside
+    # the caller whatever the BLAS thread count
+    assert float(_run_child(_FOREIGN_CPU_CHILD)) < 0.03
+
+
+# One receive pass at 4096 pilot symbols in a fresh process; prints a digest
+# of the bits of its traces, estimate and metrics.
+_RECEIVE_BITS_CHILD = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from oamlink import ChannelSnapshot, generate_pilot, receive
+
+    pilot = generate_pilot(7, 4096)
+    chan = ChannelSnapshot(h=np.array([1.0, 0.5j, -0.5, 0.2 + 0.2j]))
+    traces, est, report = receive(chan, pilot, 20.0, noise_seed=1001,
+                                  guard_samples=64)
+    digest = hashlib.sha256(repr(report).encode() + est.h.tobytes())
+    for trace in traces:
+        digest.update(trace.magnitude.tobytes() + repr(trace.gain).encode())
+    print(digest.hexdigest())
+""")
+
+
+def test_receive_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product over its threads (a 4096-symbol
+    # pilot's 16384 samples are long enough), and the order of its sums
+    # follows the thread count; the receive chain takes no BLAS call
+    assert _run_child(_RECEIVE_BITS_CHILD, OPENBLAS_NUM_THREADS="1") \
+        == _run_child(_RECEIVE_BITS_CHILD, OPENBLAS_NUM_THREADS="2")
 
 
 def test_compute_metrics_deltas():

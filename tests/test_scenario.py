@@ -17,8 +17,8 @@ from oamlink import (ScalarField, SourceRing, apply_mask, default_config,
                      validate_config)
 from oamlink.beams import synthesize_source_field
 from oamlink.cli import main
-from oamlink.errors import (ChannelError, ConfigError, OamLinkError,
-                            OutOfExtentError)
+from oamlink.errors import (ChannelError, ConfigError, GeometryError,
+                            OamLinkError, OutOfExtentError)
 from oamlink.propagation import angular_bandlimit
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               rx_positions_from, wavelength_from)
@@ -108,9 +108,7 @@ def test_obstruction_must_lie_past_the_source(z):
 @pytest.mark.parametrize("modes", [[40], [-17], [2, 0], [2.0], [True]])
 def test_modes_must_be_nonzero_integers_up_to_16(modes):
     assert _config_error_field({"modes": modes}) == "modes"
-    # the healing analysis must resolve the largest order too
-    assert validate_config({"modes": [-16, 16], "healing": {"max_mode": 16}}
-                           )["modes"] == [-16, 16]
+    assert validate_config({"modes": [-16, 16]})["modes"] == [-16, 16]
 
 
 def test_snr_must_not_be_nan():
@@ -251,14 +249,29 @@ def test_z_samples_bound_follows_the_mask():
     ({"receiver": {"theta_deg": 2 ** 64}}, "receiver.theta_deg"),
     ({"receiver": {"num_antennas": 2 ** 64}}, "receiver.num_antennas"),
     ({"receiver": {"num_antennas": 10 ** 9}}, "receiver.num_antennas"),
-    # a mode spectrum past the largest order a run takes, which used to
-    # sample every analysis ring at 8 * max_mode points
+    # healing.max_mode is no field (a mode's purity is |c_l|^2 over the
+    # whole ring power, whatever the spectrum's width): a config that sets
+    # it is refused as an unknown field
     ({"healing": {"max_mode": 17}}, "healing.max_mode"),
     ({"healing": {"max_mode": 10 ** 9}}, "healing.max_mode"),
+    # sizes past what a run can allocate or loop over, which used to end in
+    # a ValueError from numpy, "ring falls outside the grid" at synthesis
+    # (a side of 2**64) or a run that did not end (2**64 noise seeds)
+    ({"rx": {"pilot_symbols": 2 ** 64}}, "rx.pilot_symbols"),
+    ({"rx": {"pilot_symbols": 2 ** 18 + 1}}, "rx.pilot_symbols"),
+    ({"rx": {"guard_samples": 2 ** 64}}, "rx.guard_samples"),
+    ({"rx": {"guard_samples": 2 ** 16 + 1}}, "rx.guard_samples"),
+    ({"ring_elements": 2 ** 64}, "ring_elements"),
+    ({"ring_elements": 2 ** 16 + 1}, "ring_elements"),
+    ({"grid": {"side": 2 ** 64}}, "grid.side"),
+    ({"grid": {"side": 2 ** 40}}, "grid.side"),
+    ({"grid": {"side": 2 ** 14}}, "grid.side"),   # the next power of two
+    ({"rx": {"num_noise_seeds": 2 ** 64}}, "rx.num_noise_seeds"),
+    ({"rx": {"num_noise_seeds": 1001}}, "rx.num_noise_seeds"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
-    # 0.0 at every plane (max_mode below |l| = 4), "channel has zero
+    # 0.0 at every plane (a healing.max_mode below |l| = 4), "channel has zero
     # magnitude" (no antennas), an unlabelled GeometryError, a TypeError or
     # ValueError (ring radii, wavelength), an IndexError (NaN receiver
     # geometry), a run with no mask applied (NaN mask centre), a
@@ -441,8 +454,11 @@ def test_a_ring_radius_for_any_order():
 
 
 def test_limits_of_the_boundary_checks():
-    assert validate_config({"healing": {"max_mode": 4}})
-    assert validate_config({"healing": {"max_mode": 16}})
+    assert validate_config({"grid": {"side": 2 ** 13},
+                            "ring_elements": 2 ** 16,
+                            "rx": {"pilot_symbols": 2 ** 18,
+                                   "guard_samples": 2 ** 16,
+                                   "num_noise_seeds": 1000}})
     assert validate_config({"grid": {"edge_margin": 0.0}})
     assert validate_config({"grid": {"edge_margin": 1.0}})
     assert validate_config({"receiver": {"num_antennas": 1}})
@@ -476,7 +492,9 @@ def test_ring_radius_lookup_and_matching():
     # unlisted orders fall back to Bessel matching against the order-2 ring
     assert ring_radius_for(cfg, 3) == pytest.approx(
         0.149 * 4.20118894121 / 3.05423692823, rel=1e-9)
-    with pytest.raises(ConfigError):
+    # order 0 has no first maximum to match: the error names the order, not
+    # a config field (the config rules and simulate --mode refuse order 0)
+    with pytest.raises(GeometryError, match="order 0"):
         ring_radius_for(cfg, 0)
 
 
@@ -773,10 +791,9 @@ def test_experiment_errors_carry_stage_labels(monkeypatch):
 def test_error_in_the_obstructed_step_keeps_its_stage_label(monkeypatch):
     # past the mask the obstructed beam steps in the grid the mask wrote;
     # an error in that step reaches run_experiment's caller labelled
-    from oamlink import propagation
+    from oamlink import propagation, scenario
     from oamlink.errors import GeometryError
-    real_mask, real_propagate = propagation.apply_mask, \
-        propagation.propagate
+    real_mask, real_propagate = scenario.apply_mask, propagation.propagate
     masked = []
 
     def recording_mask(*args, **kwargs):
@@ -789,7 +806,7 @@ def test_error_in_the_obstructed_step_keeps_its_stage_label(monkeypatch):
             raise GeometryError("obstructed step failed")
         return real_propagate(field, dz, *args, **kwargs)
 
-    monkeypatch.setattr(propagation, "apply_mask", recording_mask)
+    monkeypatch.setattr(scenario, "apply_mask", recording_mask)
     monkeypatch.setattr(propagation, "propagate", failing_obstructed)
     with pytest.raises(GeometryError) as err:
         run_experiment(_small_cfg())
