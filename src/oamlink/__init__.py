@@ -10,8 +10,7 @@ from .bessel import bessel_j, bessel_j_signed, first_max_abscissa
 from .errors import (ChannelError, ConfigError, CutoffError, GeometryError,
                      NyquistError, OamLinkError, OutOfExtentError,
                      PlaneMismatchError)
-from .field import (FieldSpectrum, ScalarField, read_field, write_field,
-                    write_field_csv)
+from .field import FieldSpectrum, ScalarField, read_field, write_field
 from .link_design import (LinkBudget, LinkDerived, compare_with_reference,
                           derive_link, far_field_distance, max_beam_radius,
                           num_elements, tx_radius)

@@ -5,7 +5,7 @@ as a sampled field or as its band-limited spectrum.
 An N-element ring of radius r fed with phases exp(j*l*phi_n) radiates the
 far-field pattern
 
-    F_l(theta, phi) = (-j)^l * exp(j*l*phi) * K * J_l(2*pi*r*sin(theta)/lambda)
+    F_l(theta, phi) = (-j)^l * exp(j*l*phi) * J_l(2*pi*r*sin(theta)/lambda)
 
 whose first off-axis maximum defines the cone angle of the beam.  Two orders
 overlap at the receiver when their ring radii are scaled by the ratio of the
@@ -38,7 +38,6 @@ class SourceRing:
     radius_r: float
     num_elements_N: int
     order_l: int
-    amplitude: float = 1.0
 
     def __post_init__(self):
         check_order(self.order_l)
@@ -57,7 +56,6 @@ class FarFieldPattern:
     order_l: int
     radius_r: float
     wavelength: float
-    norm_K: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         check_order(self.order_l)
@@ -74,7 +72,7 @@ def far_field(pattern: FarFieldPattern, theta, phi):
     l = pattern.order_l
     x = 2.0 * np.pi * pattern.radius_r * np.sin(theta) / pattern.wavelength
     value = ((-1j) ** l) * np.exp(1j * l * np.asarray(phi)) \
-        * pattern.norm_K * bessel_j_signed(l, x)
+        * bessel_j_signed(l, x)
     if value.ndim == 0:
         return complex(value)
     return value
@@ -109,7 +107,7 @@ def _splat(ring: SourceRing, side: int, extent: float) -> tuple:
         raise GeometryError("grid extent must be at least 4x the ring radius")
     n_src = ring.num_elements_N
     phi = 2.0 * np.pi * np.arange(n_src) / n_src
-    amp = ring.amplitude * np.exp(1j * ring.order_l * phi)
+    amp = np.exp(1j * ring.order_l * phi)
     spacing = extent / side
     r0, c0, wr, wc = cell_corners(side, spacing, np.column_stack(
         [ring.radius_r * np.cos(phi), ring.radius_r * np.sin(phi)]))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .bessel import MAX_ORDER
 from .errors import ConfigError, OamLinkError
-from .field import write_field, write_field_csv
+from .field import write_field
 from .scenario import (default_config, is_order, link_plan, run_experiment,
                        run_scenario, scenario_from_config, validate_config,
                        write_report)
@@ -28,14 +28,16 @@ def _load_config(path):
     return validate_config(cfg)
 
 
-def _apply_overrides(cfg, args, orders=None):
+def _apply_overrides(cfg, args):
+    if getattr(args, "mode", None) is not None:
+        cfg["modes"] = [args.mode]
     if getattr(args, "seed", None) is not None:
         cfg["rx"]["noise_seed"] = args.seed
     if getattr(args, "grid", None) is not None:
         cfg["grid"]["side"] = args.grid
     if getattr(args, "snr_db", None) is not None:
         cfg["rx"]["snr_db"] = args.snr_db
-    return validate_config(cfg, orders)
+    return validate_config(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -55,7 +57,7 @@ def cmd_simulate(args):
     if not is_order(args.mode):
         raise OamLinkError(f"--mode must be a nonzero integer with |l| <= "
                            f"{MAX_ORDER}, got {args.mode}")
-    cfg = _apply_overrides(_load_config(args.config), args, [args.mode])
+    cfg = _apply_overrides(_load_config(args.config), args)
     out = _out_dir(args)
     s = scenario_from_config(cfg, args.mode, obstructed=not args.clear,
                              h_scale=None)
@@ -74,7 +76,6 @@ def cmd_simulate(args):
     if args.dump_fields:
         for name, f in result.fields.items():
             write_field(f, out / f"{name}.oamf")
-            write_field_csv(f, out / f"{name}.csv")
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 

@@ -1,5 +1,5 @@
 """Sampled transverse scalar fields, their band-limited spectra and their
-on-disk snapshot formats."""
+on-disk snapshot format (``.oamf``)."""
 
 from __future__ import annotations
 
@@ -152,12 +152,3 @@ def read_field(path) -> ScalarField:
     return ScalarField(samples=samples, extent=side * spacing,
                        z_position=z, wavelength=lam)
 
-
-def write_field_csv(f: ScalarField, path):
-    """Magnitude/phase CSV (x, y, magnitude, phase_rad) for plotting."""
-    X, Y = f.meshgrid()
-    mag = np.abs(f.samples)
-    ph = np.angle(f.samples)
-    table = np.column_stack([X.ravel(), Y.ravel(), mag.ravel(), ph.ravel()])
-    np.savetxt(path, table, delimiter=",", header="x_m,y_m,magnitude,phase_rad",
-               comments="")

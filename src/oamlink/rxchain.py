@@ -31,8 +31,6 @@ class PilotSignal:
 
     symbols: np.ndarray
     seed: int
-    symbol_rate: float = SYMBOL_RATE
-    sample_rate: float = SAMPLE_RATE
 
     @property
     def samples(self) -> np.ndarray:

@@ -138,9 +138,12 @@ def _check_type(path: str, value, default) -> None:
 # that does not end: a run holds about 2.4 padded grids (2.5 GiB at 8192^2);
 # 2**18 pilot symbols are 16 MiB of stream per antenna; 2**16 guard samples
 # (0.5 ms) and ring elements are far past a 50 m hop's delay and the 238
-# elements of the modelled ring; each noise seed is two receive passes.
+# elements of the modelled ring; each noise seed is two receive passes; the
+# walk to the receiver takes link.distance_m / grid.max_step_m steps (5 by
+# default), and each analysis plane at least one more per beam.
 _MAX_SIDE, _MAX_PILOT_SYMBOLS, _MAX_GUARD_SAMPLES = 2 ** 13, 2 ** 18, 2 ** 16
 _MAX_RING_ELEMENTS, _MAX_NOISE_SEEDS = 2 ** 16, 1000
+_MAX_STEPS, _MAX_PLANES = 10_000, 1000
 
 # The rules of a single field, checked in this order once every value has
 # its default's type: (path, test, message).  The obstruction's rows hold
@@ -182,17 +185,12 @@ _RULES = [
 ]
 
 
-def validate_config(cfg: dict, orders=None) -> dict:
+def validate_config(cfg: dict) -> dict:
     """Fill a user config over the defaults and check the result, in three
     passes: each value given against the type of its default, as it is
     merged; then the single-field rules of ``_RULES``; then the rules that
     tie fields together.  The first rule broken raises a ``ConfigError``
-    naming its field.
-
-    ``orders`` are OAM orders a run takes besides those in ``modes`` (as
-    ``oamlink simulate --mode`` does); the checks that depend on an order,
-    ``ring_elements`` and the ring radius against ``grid.extent_m``, cover
-    them too."""
+    naming its field."""
     if cfg is not None and not isinstance(cfg, dict):
         raise ConfigError("(top level)", f"expected an object of config "
                                          f"sections, got {type(cfg).__name__}")
@@ -229,9 +227,13 @@ def validate_config(cfg: dict, orders=None) -> dict:
             raise ConfigError(path, f"{message}, got {value!r}")
 
     link, grid, modes = merged["link"], merged["grid"], merged["modes"]
-    distance = link["distance_m"]
-    carried = modes + list(orders or [])
-    widest = max(abs(order) for order in carried)
+    distance, max_step = link["distance_m"], grid["max_step_m"]
+    # the float ratio: its ceil raises OverflowError once it is inf
+    if distance / max_step > _MAX_STEPS:
+        raise ConfigError("grid.max_step_m", f"must be at least link.distance_m"
+                          f" / {_MAX_STEPS}, a walk of at most {_MAX_STEPS} "
+                          f"steps: got {max_step!r} m for a {distance:g} m link")
+    widest = max(abs(order) for order in modes)
     if merged["ring_elements"] <= 2 * widest:
         raise ConfigError("ring_elements", f"must exceed 2|l| = {2 * widest} "
                                            f"to carry every order of the run")
@@ -248,6 +250,9 @@ def validate_config(cfg: dict, orders=None) -> dict:
             raise ConfigError("obstruction.height_m", "must be positive")
     z_min = obstruction["z_m"] if obstruction["enabled"] else 0.0
     planes = merged["healing"]["z_samples_m"]
+    if len(planes) > _MAX_PLANES:
+        raise ConfigError("healing.z_samples_m", f"must hold at most "
+                          f"{_MAX_PLANES} planes, got {len(planes)}")
     if not planes or any(isinstance(z, bool) or not isinstance(z, (int, float))
                          or not z_min < z <= distance for z in planes) \
             or any(b <= a for a, b in zip(planes, planes[1:])):
@@ -259,7 +264,7 @@ def validate_config(cfg: dict, orders=None) -> dict:
         raise ConfigError("link.beam_radius_m", f"must lie in (0, d*F/(2B)) = "
                                                 f"(0, {bound:g}) m")
     extent, side = grid["extent_m"], grid["side"]
-    for order in carried:
+    for order in modes:
         radius = ring_radius_for(merged, order)
         if extent < 4.0 * radius:   # also a grid.extent_m <= 0
             raise ConfigError("grid.extent_m", f"must be at least 4x the ring "

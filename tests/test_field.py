@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oamlink import ScalarField, read_field, write_field, write_field_csv
+from oamlink import ScalarField, read_field, write_field
 from oamlink.errors import GeometryError, PlaneMismatchError
 
 
@@ -111,11 +111,3 @@ def test_binary_format_guards(tmp_path):
         with pytest.raises(GeometryError, match="junk.oamf"):
             read_field(path)
 
-
-def test_csv_snapshot(tmp_path):
-    f = _field()
-    path = tmp_path / "snap.csv"
-    write_field_csv(f, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x_m,y_m,magnitude,phase_rad"
-    assert len(lines) == 1 + f.side * f.side

@@ -1,7 +1,8 @@
 """Physics checks on the receiver channel that hold whatever the bits: the
 channel is affine in the blocker's transmittance, a transparent blocker is
-no blocker, and order -l mirrors order l across the x-symmetric geometry.
-They run on the default config at small grids."""
+no blocker, and order -l mirrors order l across the x-symmetric geometry;
+and, to the bit, ``experiment`` with one analysis plane gives the channels
+of ``simulate``.  They run on the default config at small grids."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ MIRRORED_RADII = {"-2": 0.149, "-4": 0.218}
 
 
 def _h_raw(side, order_l, obstructed, **over):
-    cfg = validate_config({"grid": {"side": side}, **over}, orders=[order_l])
+    cfg = validate_config({"grid": {"side": side}, "modes": [order_l],
+                           **over})
     return run_scenario(scenario_from_config(cfg, order_l, obstructed)).h_raw
 
 
@@ -68,3 +70,21 @@ def test_negative_order_mirrors_across_the_array(side, order_l, obstructed):
     minus = np.abs(_h_raw(side, -order_l, obstructed,
                           ring_radii_m=MIRRORED_RADII))
     assert np.max(np.abs(minus - plus[::-1]) / plus[::-1]) <= 1e-4
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_one_plane_experiment_gives_the_scenario_channels(side):
+    # with the one analysis plane at the receiver and the mask at 10 m, the
+    # experiment's beams take the steps run_scenario takes: the launch to
+    # the mask, then four 10 m steps.  Both channels are scaled by the one
+    # factor that brings the clear channel's mean |h| to 1
+    report = run_experiment({"grid": {"side": side},
+                             "healing": {"z_samples_m": [50.0]}})
+    for order_l in ORDERS:
+        clear = _h_raw(side, order_l, False)
+        obstructed = _h_raw(side, order_l, True)
+        scale = 1.0 / float(np.mean(np.abs(clear)))
+        entry = report["modes"][str(order_l)]
+        for key, h in (("h_clear", clear), ("h_obstructed", obstructed)):
+            assert entry[key] == [[float(v.real), float(v.imag)]
+                                  for v in h * scale]

@@ -65,9 +65,9 @@ def test_unknown_and_mistyped_fields():
         assert "grid.side" in str(e)
 
 
-def _config_error_field(cfg, orders=None):
+def _config_error_field(cfg):
     with pytest.raises(ConfigError) as err:
-        validate_config(cfg, orders)
+        validate_config(cfg)
     return err.value.field
 
 
@@ -268,6 +268,14 @@ def test_z_samples_bound_follows_the_mask():
     ({"grid": {"side": 2 ** 14}}, "grid.side"),   # the next power of two
     ({"rx": {"num_noise_seeds": 2 ** 64}}, "rx.num_noise_seeds"),
     ({"rx": {"num_noise_seeds": 1001}}, "rx.num_noise_seeds"),
+    # walks that did not end: about 4e301 steps to the receiver, 1e8 steps
+    # of 10 m, and more analysis planes than the bound
+    ({"grid": {"max_step_m": 1e-300}}, "grid.max_step_m"),
+    ({"link": {"distance_m": 1e9}, "receiver": {"theta_deg": 0.0}},
+     "grid.max_step_m"),
+    ({"healing": {"z_samples_m": [10 + 40 * (i + 1) / 1001
+                                  for i in range(1001)]}},
+     "healing.z_samples_m"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -290,15 +298,15 @@ def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
 
 
 def test_simulate_checks_the_order_it_runs(tmp_path, capsys):
-    # simulate --mode takes an order outside modes: its ring must fit the
-    # grid and the ring elements must carry it.  This run used to fail
+    # simulate --mode sets modes to the order it runs: its ring must fit
+    # the grid and the ring elements must carry it.  This run used to fail
     # at synthesis with no config field
     small = {"grid": {"extent_m": 1.0}, "receiver": {"theta_deg": 0.0}}
     assert validate_config(small)                  # modes 2 and 4 fit
-    assert validate_config(small, orders=[4])
-    assert _config_error_field(small, orders=[6]) == "grid.extent_m"
+    assert validate_config({**small, "modes": [4]})
+    assert _config_error_field({**small, "modes": [6]}) == "grid.extent_m"
     assert validate_config({"ring_elements": 10})  # 2|l| = 8 for order 4
-    assert _config_error_field({"ring_elements": 10}, orders=[5]) \
+    assert _config_error_field({"ring_elements": 10, "modes": [5]}) \
         == "ring_elements"
     for cfg, field in ((small, "grid.extent_m"),
                        ({"ring_elements": 10}, "ring_elements")):
@@ -459,6 +467,13 @@ def test_limits_of_the_boundary_checks():
                             "rx": {"pilot_symbols": 2 ** 18,
                                    "guard_samples": 2 ** 16,
                                    "num_noise_seeds": 1000}})
+    # a walk of 10 000 steps to the receiver, and 1000 analysis planes
+    assert validate_config({"grid": {"max_step_m": 0.005}})
+    assert validate_config({"healing": {"z_samples_m": [
+        10 + (i + 1) / 25 for i in range(1000)]}})
+    # a step count of inf, whose ceil would raise OverflowError, is past it
+    assert _config_error_field({"grid": {"max_step_m": 5e-324}}) \
+        == "grid.max_step_m"
     assert validate_config({"grid": {"edge_margin": 0.0}})
     assert validate_config({"grid": {"edge_margin": 1.0}})
     assert validate_config({"receiver": {"num_antennas": 1}})
@@ -662,8 +677,9 @@ def test_cli_simulate_and_overrides(tmp_path):
     assert rc == 0
     summary = json.loads((out / "scenario.json").read_text())
     assert summary["scenario"] == "clear"
-    assert (out / "source.oamf").exists()
-    assert (out / "receiver_plane.csv").exists()
+    # the snapshots are .oamf files alone, as experiment writes them
+    assert sorted(p.name for p in out.iterdir()) == [
+        "receiver_plane.oamf", "scenario.json", "source.oamf"]
 
 
 def test_cli_experiment_and_heal_curve(tmp_path):
