@@ -10,7 +10,6 @@ from pathlib import Path
 
 from .bessel import MAX_ORDER
 from .errors import ConfigError, OamLinkError
-from .field import write_field
 from .scenario import (default_config, is_order, link_plan, run_experiment,
                        run_scenario, scenario_from_config, validate_config,
                        write_report)
@@ -61,7 +60,7 @@ def cmd_simulate(args):
     out = _out_dir(args)
     s = scenario_from_config(cfg, args.mode, obstructed=not args.clear,
                              h_scale=None)
-    result = run_scenario(s, keep_fields=args.dump_fields)
+    result = run_scenario(s, dump_dir=out if args.dump_fields else None)
     summary = {
         "mode": s.order_l,
         "scenario": "clear" if args.clear else "obstructed",
@@ -73,9 +72,6 @@ def cmd_simulate(args):
         "channel_phases_deg": result.metrics.channel_phases_deg,
     }
     write_report(summary, out / "scenario.json")
-    if args.dump_fields:
-        for name, f in result.fields.items():
-            write_field(f, out / f"{name}.oamf")
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 

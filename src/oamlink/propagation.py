@@ -273,14 +273,15 @@ def _inverse_rows(grid: np.ndarray, margin: float, rows) -> None:
     """The inverse FFT along the rows of ``grid``, in place; each range of
     rows is then tapered while in cache, if ``margin`` > 0, by a raised
     cosine over the outer ``margin``: its rows' weights, then its columns'.
+    A margin in [0, 0.5] keeps the strips apart; at most they meet.
     ``rows`` is None, for every row split over the cores (``_split``), or a
-    (lo, hi) span alone, on the calling thread, leaving the rest unfinished."""
+    ``propagate`` step's (lo, hi) span alone, on the calling thread, leaving
+    the rest unfinished."""
     side = grid.shape[0]
-    m = max(2, int(margin * side))
+    m = max(2, int(margin * side)) if margin > 0 else 0
     w = np.ones(side)
     w[:m] = 0.5 * (1.0 - np.cos(np.pi * np.arange(m) / m))
-    w[side - m:] = w[m - 1::-1]
-    m = min(m, side // 2) if margin > 0 else 0   # strips meet, not overlap
+    w[side - m:] = w[:m][::-1]
 
     def work(lo, hi):
         block = grid[lo:hi]
@@ -293,13 +294,13 @@ def _inverse_rows(grid: np.ndarray, margin: float, rows) -> None:
     _split(side, work) if rows is None else work(*rows)
 
 
-def launch(spectrum: FieldSpectrum, dz: float, *, _margin: float = 0.0,
-           _rows=None) -> ScalarField:
+def launch(spectrum: FieldSpectrum, dz: float, *,
+           _margin: float = 0.0) -> ScalarField:
     """Field at z + dz of a field given by its band-limited spectrum: the box
     times H over the box's bins, scattered into a zeroed grid, and one
-    inverse FFT.  It equals ``propagate`` of the spectrum's field, without
-    the forward FFT.  H is built over the box alone, with the quadrant's
-    formula, and not held: the held quadrant stays as it was."""
+    inverse FFT, over every row.  It equals ``propagate`` of the spectrum's
+    field, without the forward FFT.  H is built over the box alone, with the
+    quadrant's formula, and not held: the held quadrant stays as it was."""
     _require_step(dz)
     side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
     f = _frequencies(side, extent)[np.minimum(spectrum.bins,
@@ -308,7 +309,7 @@ def launch(spectrum: FieldSpectrum, dz: float, *, _margin: float = 0.0,
     # The bits of a complex product depend on the operands' order, so the
     # order is written out: H times the values, in H's box.
     return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz,
-                    _margin, _rows)
+                    _margin)
 
 
 def spectrum_field(spectrum: FieldSpectrum) -> ScalarField:
@@ -325,14 +326,14 @@ def _runs(indices: np.ndarray) -> list:
 
 
 def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
-             margin: float = 0.0, rows=None) -> ScalarField:
+             margin: float = 0.0) -> ScalarField:
     """The field whose spectrum is ``values`` on the box of ``spectrum``.
 
     ``values`` is scattered into the new, zeroed grid; the inverse along
     axis 0 then runs on the box's columns only, one run of consecutive
     columns at a time, since the other columns are zero and stay zero, and
-    the inverse along axis 1 as ``_inverse_rows`` runs it: bit for bit
-    ``ifft`` along axis 0, then axis 1, of the whole grid, as in
+    the inverse along axis 1 of every row as ``_inverse_rows`` runs it: bit
+    for bit ``ifft`` along axis 0, then axis 1, of the whole grid, as in
     ``scipy.fft.ifft2`` (``numpy.fft.ifft2`` runs axis 1 first, with other
     bits), since 1/side per pass is a power of two."""
     side, bins = spectrum.side, spectrum.bins
@@ -346,7 +347,7 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
             fft.ifft(block, axis=0, out=block)
 
     _split(len(columns), box_columns)
-    _inverse_rows(grid, margin, rows)
+    _inverse_rows(grid, margin, None)
     return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
                        wavelength=spectrum.wavelength)
@@ -356,7 +357,7 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
                  max_step: float = 10.0, edge_margin: float = 0.0,
                  out: np.ndarray | None = None, *, _rows=None) -> ScalarField:
     """Propagate to an absolute plane, splitting into steps of at most
-    ``max_step``.  ``edge_margin`` in [0, 1] applies, if > 0, a soft
+    ``max_step``.  ``edge_margin`` in [0, 0.5] applies, if > 0, a soft
     absorbing taper over that outer fraction of the grid in every step
     (suppresses wrap-around on long hops at the cost of strict power
     conservation).  From a ``FieldSpectrum`` the first step is its
@@ -365,8 +366,9 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
     The first step of a ``ScalarField`` writes ``out`` as ``propagate``
     does; every later step runs in the grid of the step before.  So without
     ``out`` the field passed in is never written, and with
-    ``out=field.samples`` the steps hold no grid but the field's.  The last
-    step finishes only ``sample_at``'s ``_rows`` unless they are None."""
+    ``out=field.samples`` the steps hold no grid but the field's.  A last
+    step that is a ``propagate`` finishes only ``sample_at``'s ``_rows``
+    unless they are None; a launch finishes every row."""
     dz_total = z_target - field.z_position
     if not 0 < dz_total < math.inf:
         raise GeometryError("target plane must lie a finite distance beyond "
@@ -374,8 +376,8 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
     if not 0 < max_step < math.inf:
         raise GeometryError(f"max_step must be positive and finite, got "
                             f"{max_step!r}")
-    if not 0 <= edge_margin <= 1:
-        raise GeometryError(f"edge_margin must lie in [0, 1], got "
+    if not 0 <= edge_margin <= 0.5:
+        raise GeometryError(f"edge_margin must lie in [0, 0.5], got "
                             f"{edge_margin!r}")
     if out is not None and isinstance(field, FieldSpectrum):
         raise GeometryError("a launch from a spectrum writes a new grid; "
@@ -384,12 +386,11 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
     step = dz_total / n_steps
     beam = field
     for i in range(n_steps):
-        last = _rows if i == n_steps - 1 else None
         if isinstance(beam, FieldSpectrum):
-            beam = launch(beam, step, _margin=edge_margin, _rows=last)
+            beam = launch(beam, step, _margin=edge_margin)
         else:
             beam = propagate(beam, step, out=out, _margin=edge_margin,
-                             _rows=last)
+                             _rows=_rows if i == n_steps - 1 else None)
         out = beam.samples
     return beam
 
@@ -503,9 +504,9 @@ def sample_at(field: ScalarField | FieldSpectrum, z_target: float, points,
               max_step: float = 10.0, edge_margin: float = 0.0,
               out: np.ndarray | None = None) -> np.ndarray:
     """``sample_points(propagate_to(field, z_target, max_step, edge_margin,
-    out), points)``, bit for bit, but the last step finishes, on the calling
-    thread, only the rows the points read; no field of that unfinished grid
-    (with ``out``, the field's own) is returned."""
+    out), points)``, bit for bit, but a last step that is a ``propagate``
+    finishes, on the calling thread, only the rows the points read; no field
+    of that unfinished grid (with ``out``, the field's own) is returned."""
     r0 = cell_corners(field.side, field.extent / field.side, points)[0]
     rows = (int(r0.min()), int(r0.max()) + 2) if r0.size else (0, 0)
     return sample_points(propagate_to(field, z_target, max_step, edge_margin,

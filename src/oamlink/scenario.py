@@ -9,7 +9,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +164,7 @@ _RULES = [
      f"must be a power of two in [64, {_MAX_SIDE}]"),
     ("grid.max_step_m", lambda v: v > 0, "must be positive"),
     ("grid.theta_max_deg", lambda v: 0 < v < 90, "must lie in (0, 90) degrees"),
-    ("grid.edge_margin", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    ("grid.edge_margin", lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]"),
     ("receiver.num_antennas", lambda v: v >= 1, "must be at least 1"),
     ("rx.num_noise_seeds", lambda v: 1 <= v <= _MAX_NOISE_SEEDS,
      f"must lie in [1, {_MAX_NOISE_SEEDS}]"),
@@ -335,7 +335,6 @@ class ScenarioResult:
     h_raw: np.ndarray
     channel: ChannelSnapshot
     metrics: object
-    fields: dict = dc_field(default_factory=dict)
 
 
 def scenario_from_config(cfg: dict, order_l: int, obstructed: bool,
@@ -378,37 +377,39 @@ def _unit_scale(h: np.ndarray, order_l: int) -> float:
     return 1.0 / mean_mag
 
 
-def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
+def run_scenario(s: Scenario, dump_dir: Path | None = None) -> ScenarioResult:
     """End-to-end run: the field from the ring to the receiver plane, then
     the receive chain.  The one beam is launched to the mask, masked and
-    stepped on to the receiver in the one grid its launch made (``out``).
-    ``keep_fields`` keeps the source, mask-plane and receiver-plane fields
-    in ``fields``; the mask-plane field is a copy, since the beam steps on
-    in its grid; without them the last step finishes the receiver's rows
-    alone (``sample_at``)."""
+    stepped on to the receiver in the one grid its launch made (``out``);
+    without ``dump_dir`` the last step finishes the receiver's rows alone
+    (``sample_at``).  With it, each plane is written there as the beam
+    passes it: ``source.oamf`` before the launch, ``obstruction_plane.oamf``
+    once masked (obstructed runs only) and ``receiver_plane.oamf`` after the
+    full last step, so no field is held beside the beam.  A run that fails
+    keeps the snapshots it wrote."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     mask = s.obstruction
     positions = rx_positions_from(cfg)
     beam = _source_spectrum(cfg, s.order_l)
-    fields = {"source": spectrum_field(beam)} if keep_fields else {}
+    if dump_dir is not None:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        write_field(spectrum_field(beam), dump_dir / "source.oamf")
     with _stage("propagation"):
         if mask is not None:
             beam = propagate_to(beam, mask.z_position, max_step, margin)
             beam = apply_mask(beam, mask, out=beam.samples)
-            if keep_fields:
-                fields["obstruction_plane"] = beam.with_samples(
-                    beam.samples.copy())
+            if dump_dir is not None:
+                write_field(beam, dump_dir / "obstruction_plane.oamf")
         z = cfg["link"]["distance_m"]
         out = None if mask is None else beam.samples
-        if not keep_fields:
+        if dump_dir is None:
             h_raw = sample_at(beam, z, positions, max_step, margin, out)
         else:
-            beam = fields["receiver_plane"] = propagate_to(
-                beam, z, max_step, margin, out)
-    if keep_fields:
-        with _stage("sampling"):
-            h_raw = sample_points(beam, positions)
+            beam = propagate_to(beam, z, max_step, margin, out)
+            write_field(beam, dump_dir / "receiver_plane.oamf")
+            with _stage("sampling"):
+                h_raw = sample_points(beam, positions)
     label = "obstructed" if mask is not None else "clear"
     with _stage("rx_chain"):
         scale = _unit_scale(h_raw, s.order_l) if s.h_scale is None \
@@ -418,8 +419,7 @@ def run_scenario(s: Scenario, keep_fields: bool = False) -> ScenarioResult:
         pilot = generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
         _, _, report = receive(chan, pilot, rx["snr_db"], rx["noise_seed"],
                                guard_samples=rx["guard_samples"])
-    return ScenarioResult(scenario=s, h_raw=h_raw, channel=chan,
-                          metrics=report, fields=fields)
+    return ScenarioResult(scenario=s, h_raw=h_raw, channel=chan, metrics=report)
 
 
 def _link_budget(cfg: dict) -> LinkBudget:

@@ -334,7 +334,7 @@ def _default_walk(side, orders=(2,)):
     return walk
 
 
-def test_runs_hold_one_grid_per_beam(monkeypatch):
+def test_runs_hold_one_grid_per_beam(monkeypatch, tmp_path):
     # each beam steps in the grid the run made for it: up to the last plane
     # the run holds the clear and the obstructed beam's grids, not a copy of
     # each per step.  The peak is read there, before the receive chain,
@@ -357,9 +357,12 @@ def test_runs_hold_one_grid_per_beam(monkeypatch):
     # both orders, one after the other: the similarity's temporaries are a
     # block of rows, not the annulus
     assert _peak_grids(_default_walk(1024, (2, 4)), 1024, cold=True) < 2.5
-    # the obstructed scenario launches, masks and steps one grid
+    # the obstructed scenario launches, masks and steps one grid, and
+    # writes its snapshots from that grid as the beam passes each plane
     s = scenario_from_config(validate_config({}), 2, obstructed=True)
     assert _peak_grids(lambda: run_scenario(s), 1024) < 1.2
+    assert _peak_grids(lambda: run_scenario(s, dump_dir=tmp_path), 1024) \
+        < 1.2
 
 
 def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):
@@ -388,7 +391,7 @@ def _record_fft_threads(monkeypatch):
     return names
 
 
-def test_one_beam_stays_on_the_calling_thread(monkeypatch):
+def test_one_beam_stays_on_the_calling_thread(monkeypatch, tmp_path):
     # without the mask one beam runs: a launch to the first plane, whose
     # box is the whole 64^2 grid over 12 m (two passes), then a step to
     # each later plane (four passes), each pass in two parts, one on the
@@ -421,9 +424,9 @@ def test_one_beam_stays_on_the_calling_thread(monkeypatch):
     assert parts.count(threading.current_thread().name) == 2 + 4 * 4
     assert sum(name.startswith("oamlink-part") for name in parts) \
         == 2 + 4 * 4 - 1
-    # kept fields finish every row of the last step
+    # a run that writes its planes finishes every row of the last step
     parts.clear()
     run_scenario(scenario_from_config(cfg, 2, obstructed=True),
-                 keep_fields=True)
+                 dump_dir=tmp_path)
     assert parts.count(threading.current_thread().name) \
         == sum(name.startswith("oamlink-part") for name in parts)

@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from oamlink import (ScalarField, SourceRing, apply_mask, default_config,
-                     propagate_to, run_experiment, run_scenario,
+                     propagate_to, read_field, run_experiment, run_scenario,
                      sample_points, scenario_from_config, source_spectrum,
-                     validate_config)
-from oamlink.beams import synthesize_source_field
+                     spectrum_field, validate_config)
 from oamlink.cli import main
 from oamlink.errors import (ChannelError, ConfigError, GeometryError,
                             OamLinkError, OutOfExtentError)
-from oamlink.propagation import angular_bandlimit
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               rx_positions_from, wavelength_from)
 
@@ -276,6 +274,11 @@ def test_z_samples_bound_follows_the_mask():
     ({"healing": {"z_samples_m": [10 + 40 * (i + 1) / 1001
                                   for i in range(1001)]}},
      "healing.z_samples_m"),
+    # a taper margin past half the grid, whose strips overlapped: a broken
+    # window that jumped from 0.74 to 1 inside the strip (0.6), or rose at
+    # one edge alone (1.0)
+    ({"grid": {"edge_margin": 0.6}}, "grid.edge_margin"),
+    ({"grid": {"edge_margin": 1.0}}, "grid.edge_margin"),
 ])
 def test_bad_values_are_rejected_by_field(override, field, tmp_path, capsys):
     # each of these used to fail later: a ZeroDivisionError (rf 0), purity
@@ -425,14 +428,15 @@ def test_receiver_check_agrees_with_sampling(receiver):
     {}, {"num_antennas": 3},                       # even and odd rows
     {"num_antennas": 5, "theta_deg": 6.8},         # in the top taper strip
     {"num_antennas": 1, "theta_deg": -6.6}])       # in the bottom strip
-def test_scenario_channel_is_that_of_the_finished_field(side, receiver):
-    # without kept fields the last step finishes only the receiver's rows;
-    # the channel and the metrics keep the bits of sampling the whole field
+def test_scenario_channel_is_that_of_the_finished_field(side, receiver,
+                                                        tmp_path):
+    # without a dump the last step finishes only the receiver's rows; the
+    # channel and the metrics keep the bits of sampling the whole field
     cfg = validate_config({"grid": {"side": side}, "receiver": receiver})
     for obstructed in (False, True):
         s = scenario_from_config(cfg, 3, obstructed, h_scale=None)
-        rows, kept = run_scenario(s), run_scenario(s, keep_fields=True)
-        assert not rows.fields
+        rows = run_scenario(s)
+        kept = run_scenario(s, dump_dir=tmp_path / str(obstructed))
         assert np.array_equal(rows.h_raw.view(np.uint64),
                               kept.h_raw.view(np.uint64))
         assert repr(rows.metrics) == repr(kept.metrics)
@@ -475,7 +479,7 @@ def test_limits_of_the_boundary_checks():
     assert _config_error_field({"grid": {"max_step_m": 5e-324}}) \
         == "grid.max_step_m"
     assert validate_config({"grid": {"edge_margin": 0.0}})
-    assert validate_config({"grid": {"edge_margin": 1.0}})
+    assert validate_config({"grid": {"edge_margin": 0.5}})
     assert validate_config({"receiver": {"num_antennas": 1}})
     assert validate_config({"obstruction": {"transmittance": 1.0}})
     # a disk has no height, and a mask that is off is not checked
@@ -557,40 +561,44 @@ def test_a_run_imports_no_scipy_submodule(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
-def test_run_scenario_clear_small_grid():
+def test_run_scenario_clear_small_grid(tmp_path):
     cfg = _small_cfg()
     s = scenario_from_config(cfg, 2, obstructed=False, h_scale=None)
-    result = run_scenario(s, keep_fields=True)
+    result = run_scenario(s, dump_dir=tmp_path)
     assert result.metrics.combined_evm_pct < 50.0
-    assert set(result.fields) == {"source", "receiver_plane"}
-    assert result.fields["receiver_plane"].z_position == pytest.approx(50.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["receiver_plane.oamf", "source.oamf"]
+    assert read_field(tmp_path / "receiver_plane.oamf").z_position \
+        == pytest.approx(50.0)
     # auto-normalization: mean |h| of the snapshot is unity
     assert np.mean(np.abs(result.channel.h)) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_source_dump_is_the_band_limited_source():
+def test_source_dump_is_the_band_limited_source(tmp_path):
+    # the launched spectrum's own field, as written; its closeness to the
+    # band-limited splat is test_beams' to check
     cfg = _small_cfg()
-    result = run_scenario(scenario_from_config(cfg, 2, obstructed=True),
-                          keep_fields=True)
+    run_scenario(scenario_from_config(cfg, 2, obstructed=True),
+                 dump_dir=tmp_path)
     ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
                       num_elements_N=cfg["ring_elements"], order_l=2)
-    ref = angular_bandlimit(
-        synthesize_source_field(ring, 128, 2.0, wavelength_from(cfg)),
-        math.radians(cfg["grid"]["theta_max_deg"]))
-    src = result.fields["source"]
+    ref = spectrum_field(source_spectrum(
+        ring, 128, 2.0, wavelength_from(cfg),
+        math.radians(cfg["grid"]["theta_max_deg"])))
+    src = read_field(tmp_path / "source.oamf")
     assert src.z_position == 0.0
-    assert np.max(np.abs(src.samples - ref.samples)) \
-        <= 1e-12 * np.max(np.abs(ref.samples))
-    assert set(result.fields) == {"source", "obstruction_plane",
-                                  "receiver_plane"}
+    assert np.array_equal(src.samples, ref.samples.astype(np.complex64))
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["obstruction_plane.oamf", "receiver_plane.oamf", "source.oamf"]
 
 
-def test_kept_fields_are_the_planes_of_public_steps():
-    # the run steps one grid to the receiver; the mask plane it keeps is a
-    # copy, equal to the planes of public steps into grids of their own
+def test_kept_fields_are_the_planes_of_public_steps(tmp_path):
+    # the run steps one grid to the receiver and writes each plane as the
+    # beam passes it: as complex64, the planes of public steps into grids
+    # of their own
     cfg = _small_cfg()
-    result = run_scenario(scenario_from_config(cfg, 2, obstructed=True),
-                          keep_fields=True)
+    run_scenario(scenario_from_config(cfg, 2, obstructed=True),
+                 dump_dir=tmp_path)
     ring = SourceRing(radius_r=ring_radius_for(cfg, 2),
                       num_elements_N=cfg["ring_elements"], order_l=2)
     grid, mask = cfg["grid"], obstruction_from(cfg)
@@ -603,9 +611,10 @@ def test_kept_fields_are_the_planes_of_public_steps():
                             grid["edge_margin"])
     for name, ref in (("obstruction_plane", masked),
                       ("receiver_plane", received)):
-        kept = result.fields[name]
+        kept = read_field(tmp_path / f"{name}.oamf")
         assert kept.z_position == ref.z_position
-        assert np.array_equal(kept.samples, ref.samples)
+        assert np.array_equal(kept.samples,
+                              ref.samples.astype(np.complex64))
 
 
 def test_full_blockage_fails_in_rx_stage():
