@@ -23,6 +23,6 @@ from .rxchain import (ChannelSnapshot, MetricsReport, PilotSignal,
 from .scenario import (Scenario, ScenarioResult, default_config,
                        run_experiment, run_scenario, scenario_from_config,
                        validate_config)
-from .wavevector import (WaveguideGeom, WaveVectorTriple, beam_radius_at,
-                         guide_wavelength_coax, guide_wavelength_rect,
-                         healing_prediction, wavevectors_at)
+from .wavevector import (WaveVectorTriple, beam_radius_at,
+                         guide_wavelength_coax, healing_prediction,
+                         wavevectors_at)

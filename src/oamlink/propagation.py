@@ -12,7 +12,7 @@ A step runs, in one grid, the forward FFT, the multiply by the transfer
 function H and the inverse FFT; the returned field holds the grid.  The
 FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
 numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
-bits, and a run imports no ``scipy.fft``.  The ``out`` of a step, or of
+bits, and a run imports no scipy module.  The ``out`` of a step, or of
 ``apply_mask``, is None, for a new grid with the field copied into it and
 the field never written, or ``field.samples``, for the same passes in the
 field's own grid with no copy.  ``propagate_to`` steps in place from its
@@ -27,7 +27,9 @@ into a new grid.  The launch builds H over its box alone (195^2 bins at
 inverse (``_inverse``) scatters the box into the new grid, which is
 zeroed, and runs the inverse along the columns only on the box's columns,
 each run of consecutive bins in place (a source spectrum's box has two),
-since every other column is zero, and along the rows on every row.
+since every other column is zero, and along the rows on every row.  A
+mask multiplies only the samples of its shape's box where its map is not 1;
+the rest keep their bits, and the taper's signed zeros with them.
 
 Every grid is a zeroed ``(side, side)`` view of a ``(side, side + 12)``
 buffer (``_grid``), so a row is an odd number of 64-byte cache lines:
@@ -59,9 +61,9 @@ split (``_split``) into one range of columns or rows per core, over
 ``_FFT_WORKERS`` cores: all cores in the process's affinity set
 (``os.sched_getaffinity``, else ``os.cpu_count()``), with no setting.
 The calling thread runs the first range and helper threads
-(``_part_pool``, started on first use) the others.  The mask's multiply
-and the launch's scatter are memory-bound (in place at 1024^2 on 2 cores,
-no faster split) and run on the calling thread.  A runner's beams step
+(``_part_pool``, started on first use) the others.  The mask's copy and
+multiply and the launch's scatter are memory-bound (in place at 1024^2 on
+2 cores, no faster split) and run on the calling thread.  A runner's beams step
 one after the other.  Each FFT runs on one thread and releases the GIL.
 The 1-D transforms are independent and 1/side per inverse pass is a
 power of two, so whatever the count a step is bit for bit ``fft`` along
@@ -259,14 +261,23 @@ def propagate(field: ScalarField, dz: float, out: np.ndarray | None = None,
         fft.fft(rows, axis=1, out=rows)
         _multiply_unfolded(grid, transfer, lo, hi)
 
-    def inverse_columns(lo, hi):
-        columns = grid[:, lo:hi]
-        fft.ifft(columns, axis=0, out=columns)
-
-    for work in (forward_columns, forward_rows, inverse_columns):
+    for work in (forward_columns, forward_rows):
         _split(field.side, work)
+    _inverse_columns(grid, np.arange(field.side))
     _inverse_rows(grid, _margin, _rows)
     return field.with_samples(grid, z=field.z_position + dz)
+
+
+def _inverse_columns(grid: np.ndarray, columns: np.ndarray) -> None:
+    """The inverse FFT along axis 0 of the sorted ``columns`` of ``grid``, in
+    place, one run of consecutive columns at a time (``_runs``), split over
+    the cores (``_split``)."""
+    def work(lo, hi):
+        for a, b in _runs(columns[lo:hi]):
+            block = grid[:, a:b]
+            fft.ifft(block, axis=0, out=block)
+
+    _split(len(columns), work)
 
 
 def _inverse_rows(grid: np.ndarray, margin: float, rows) -> None:
@@ -336,17 +347,10 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
     for bit ``ifft`` along axis 0, then axis 1, of the whole grid, as in
     ``scipy.fft.ifft2`` (``numpy.fft.ifft2`` runs axis 1 first, with other
     bits), since 1/side per pass is a power of two."""
-    side, bins = spectrum.side, spectrum.bins
-    columns = np.sort(bins)
-    grid = _grid(side)
+    bins = spectrum.bins
+    grid = _grid(spectrum.side)
     grid[np.ix_(bins, bins)] = values
-
-    def box_columns(lo, hi):
-        for a, b in _runs(columns[lo:hi]):
-            block = grid[:, a:b]
-            fft.ifft(block, axis=0, out=block)
-
-    _split(len(columns), box_columns)
+    _inverse_columns(grid, np.sort(bins))
     _inverse_rows(grid, margin, None)
     return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
@@ -463,30 +467,25 @@ def apply_mask(field: ScalarField, mask: ObstructionMask,
     """Pointwise multiply the field by the mask's transmittance map; the
     mask's plane must be the field's to within 1e-9 m.
 
-    The map is built, and multiplied, only over the box of rows and columns
-    the shape reaches; it is 1 outside.  The rest of the grid is multiplied
-    by 1 on the calling thread, not copied: the complex product clears the
-    sign of some zero components (the edge taper leaves exact zeros), and
-    the masked field keeps the bits of the full-map product.  ``out`` is
-    None, for a new grid, or ``field.samples``, which masks the field in
-    place."""
+    The map is built only over the box of rows and columns the shape
+    reaches, and multiplied only where it is not 1: samples where the map is
+    1 keep the input's bits, signed zeros included, and the rest are input
+    times map.  ``out`` is None, for a new grid with the samples copied into
+    it, or ``field.samples``, which masks the field in place."""
     if abs(mask.z_position - field.z_position) > 1e-9:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
     samples = field.samples
     grid = _target(samples, out)
+    if grid is not samples:
+        grid[...] = samples
     c = field.coords()
     dx, dy = c - mask.center_x, c - mask.center_y
     cols, rows = (np.flatnonzero(span) for span in mask._spans(dx, dy))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)) \
-        if cols.size and rows.size else None
-    # the box's product is taken from the samples before the grid, which may
-    # be the samples, is written
-    product = None if box is None \
-        else samples[box] * mask._map(dx[box[1]], dy[box[0]])
-    np.multiply(samples, 1.0, out=grid)
-    if box is not None:
-        grid[box] = product
+    if cols.size and rows.size:
+        rows, cols = slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+        box, t = grid[rows, cols], mask._map(dx[cols], dy[rows])
+        np.multiply(box, t, out=box, where=t != 1)
     return field.with_samples(grid)
 
 

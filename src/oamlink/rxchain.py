@@ -113,21 +113,45 @@ def apply_channel(pilot: PilotSignal, chan: ChannelSnapshot, snr_db: float,
     return signal + noise
 
 
-def correlate_pilot(stream: np.ndarray, pilot: PilotSignal) -> CorrelationTrace:
+def _smooth_length(n: int) -> int:
+    """The least 2*3*5-smooth length at or past ``n``: for each 3^i * 5^j
+    below the best so far, the least multiple of it by a power of two at or
+    past ``n``."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        m = p5
+        while m < best:
+            best = min(best, m << (-(-n // m) - 1).bit_length())
+            m *= 3
+        p5 *= 5
+    return best
+
+
+def _pilot_spectrum(pilot: PilotSignal, size: int) -> np.ndarray:
+    """The pilot's conjugate spectrum over ``_smooth_length(size)``."""
+    return np.conj(np.fft.fft(pilot.samples, _smooth_length(size)))
+
+
+def correlate_pilot(stream: np.ndarray, pilot: PilotSignal, *,
+                    _spectrum: np.ndarray | None = None) -> CorrelationTrace:
     """Normalized cross-correlation magnitude of a stream against the pilot.
 
     Lag l compares stream[l : l+Np] with the pilot; normalization uses the
     sliding-window stream energy so an attenuated, delayed copy still peaks
     at height 1.  The complex gain at the peak is reported separately.
-    <s[l:l+Np], p> is a circular correlation by FFTs over the stream's
-    length, which no valid lag wraps: the direct sum to a few ulp of the
-    peak."""
+    <s[l:l+Np], p> is a circular correlation by FFTs over the least
+    2*3*5-smooth length at or past the stream's, which no valid lag wraps:
+    the direct sum to a few ulp of the peak.  ``_spectrum`` is the pilot's
+    (``_pilot_spectrum``) for streams of this length, which ``receive``
+    computes once for all its antennas."""
     p = pilot.samples
     s = np.asarray(stream)
     if s.size < p.size:
         raise GeometryError("stream shorter than the pilot")
+    if _spectrum is None:
+        _spectrum = _pilot_spectrum(pilot, s.size)
     n_lags = s.size - p.size + 1
-    full = np.fft.ifft(np.fft.fft(s) * np.conj(np.fft.fft(p, s.size)))[:n_lags]
+    full = np.fft.ifft(np.fft.fft(s, _spectrum.size) * _spectrum)[:n_lags]
     energy = np.concatenate([[0.0], np.cumsum(np.abs(s) ** 2)])
     win = energy[p.size:] - energy[:n_lags]
     norm_p = np.sqrt(pilot.energy)
@@ -197,7 +221,8 @@ def receive(chan: ChannelSnapshot, pilot: PilotSignal, snr_db: float,
     estimated ChannelSnapshot, MetricsReport).
     """
     streams = apply_channel(pilot, chan, snr_db, noise_seed, guard_samples)
-    traces = [correlate_pilot(s, pilot) for s in streams]
+    spectrum = _pilot_spectrum(pilot, streams.shape[1])
+    traces = [correlate_pilot(s, pilot, _spectrum=spectrum) for s in streams]
     # Align on the strongest antenna's correlation peak (the array shares a
     # common timebase).
     best = max(traces, key=lambda t: t.peak_height)

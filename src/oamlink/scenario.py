@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import HealingCurve
@@ -477,7 +476,7 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
 
     report = {
         "tool": {"name": "oamlink", "version": __version__,
-                 "numpy": np.__version__, "scipy": scipy.__version__},
+                 "numpy": np.__version__},
         "config": cfg,
         "link_plan": plan,
         "modes": {},

@@ -18,23 +18,6 @@ from .errors import CutoffError, GeometryError
 
 
 @dataclass(frozen=True)
-class WaveguideGeom:
-    """Rectangular-guide geometry used in the bent-waveguide analogy."""
-
-    broad_wall_a: float
-    wavelength: float
-
-    def __post_init__(self):
-        if self.broad_wall_a <= self.wavelength:
-            raise CutoffError("propagating regime requires a > wavelength")
-
-    @property
-    def tilt_alpha(self) -> float:
-        """Plane-wave tilt angle, cos(alpha) = lambda/a."""
-        return math.acos(self.wavelength / self.broad_wall_a)
-
-
-@dataclass(frozen=True)
 class WaveVectorTriple:
     """(k, k_z, k_T) satisfying k^2 = k_z^2 + k_T^2."""
 
@@ -48,15 +31,6 @@ class WaveVectorTriple:
         residual = abs(self.k ** 2 - self.k_z ** 2 - self.k_T ** 2)
         if residual > 1e-12 * self.k ** 2:
             raise GeometryError("k^2 = k_z^2 + k_T^2 violated")
-
-
-def guide_wavelength_rect(a: float, wavelength: float) -> float:
-    """Guide wavelength lambda / sqrt(1 - (lambda/a)^2) of a rectangular guide."""
-    if wavelength <= 0:
-        raise GeometryError("wavelength must be positive")
-    if a <= wavelength:
-        raise CutoffError(f"broad wall a={a} at or below cutoff (a <= lambda)")
-    return wavelength / math.sqrt(1.0 - (wavelength / a) ** 2)
 
 
 def guide_wavelength_coax(r: float, wavelength: float, l: int) -> float:

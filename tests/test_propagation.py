@@ -469,8 +469,9 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
                  ObstructionMask("disk", 5.8, -5.8, (1.0,), 10.0, 0.25),
                  ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0)):
         calls.append(lambda f, mask=mask, **out: apply_mask(f, mask, **out))
+        t = mask.transmittance_map(field)
         assert np.array_equal(_bits(apply_mask(field, mask).samples),
-                              _bits(before * mask.transmittance_map(field)))
+                              _bits(np.where(t != 1, before * t, before)))
     for call in calls:
         ref = call(field).samples
         # in the field's own grid: no copy, the field's samples replaced
@@ -481,6 +482,61 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
         assert np.array_equal(_bits(grid), _bits(ref))
         # without out the field is not written
         assert np.array_equal(_bits(field.samples), _bits(before))
+
+
+def _signed_zeros(field):
+    """A copy of ``field`` in a grid of its own, with zeros of all four sign
+    pairs in its first row and in the row through the grid's centre."""
+    mine = _own(field)
+    for r in (0, field.side // 2):
+        mine.samples[r, :4].real = [0.0, -0.0, 0.0, -0.0]
+        mine.samples[r, :4].imag = [0.0, 0.0, -0.0, -0.0]
+    return mine
+
+
+@pytest.mark.parametrize("side", [64, 1024])
+def test_a_mask_that_changes_no_sample_keeps_the_inputs_bits(side):
+    # a transmittance of 1, and a shape off the grid, multiply nothing: the
+    # signed zeros a product by 1 would clear stay as they are
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    field = _signed_zeros(propagate_to(
+        source_spectrum(ring, side, 12.0, lam, theta), 10.0))
+    before = field.samples.copy()
+    for mask in (ObstructionMask("rectangle", -5.9, 0.0, (12.0, 13.0), 10.0,
+                                 1.0),
+                 ObstructionMask("disk", 0.0, 0.0, (30.0,), 10.0, 1.0),
+                 ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0),
+                 ObstructionMask("rectangle", 0.0, -8.0, (2.0, 1.0), 10.0)):
+        masked = apply_mask(field, mask)
+        assert masked.samples is not field.samples
+        assert np.array_equal(_bits(masked.samples), _bits(before))
+        mine = _own(field)
+        assert apply_mask(mine, mask, out=mine.samples).samples \
+            is mine.samples
+        assert np.array_equal(_bits(mine.samples), _bits(before))
+        assert np.array_equal(_bits(field.samples), _bits(before))
+
+
+def test_an_in_place_mask_writes_only_the_samples_inside_its_shape():
+    lam, theta = 299792458.0 / 28e9, math.radians(5.0)
+    ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    field = _signed_zeros(propagate_to(
+        source_spectrum(ring, 256, 12.0, lam, theta), 10.0, edge_margin=0.05))
+    before = field.samples.copy()
+    for mask in (ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0),
+                 ObstructionMask("disk", -6.0, 0.0, (1.5,), 10.0, 0.25),
+                 ObstructionMask("disk", 0.0, 0.0, (2.0,), 10.0, 0.5)):
+        mine = _own(field)
+        apply_mask(mine, mask, out=mine.samples)
+        outside = mask.transmittance_map(field) == 1
+        assert 0 < np.count_nonzero(~outside) < outside.size
+        assert np.array_equal(_bits(mine.samples[outside]),
+                              _bits(before[outside]))
+        # inside, input times map: the box's zeros included
+        assert np.array_equal(
+            _bits(mine.samples[~outside]),
+            _bits(before[~outside] * mask.transmittance))
 
 
 def test_out_must_be_the_fields_own_samples():
@@ -589,7 +645,8 @@ def test_propagate_to_rejects_bad_steps_and_margins(kwargs):
 @pytest.mark.parametrize("side", [64, 1024])
 def test_padded_steps_match_a_contiguous_scipy_reference(side):
     # the plain transforms on contiguous arrays, as a step ran before the
-    # padded grids, the pruned launch and the box-only mask
+    # padded grids and the pruned launch; the mask against its map, applied
+    # only where the map is not 1
     lam, theta = 299792458.0 / 28e9, math.radians(5.0)
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
     spectrum = source_spectrum(ring, side, 12.0, lam, theta)
@@ -611,8 +668,9 @@ def test_padded_steps_match_a_contiguous_scipy_reference(side):
                  ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0)):
         before = tapered.samples.copy()
         masked = apply_mask(tapered, mask)
+        t = mask.transmittance_map(tapered)
         assert np.array_equal(_bits(masked.samples),
-                              _bits(before * mask.transmittance_map(tapered)))
+                              _bits(np.where(t != 1, before * t, before)))
         assert np.array_equal(_bits(tapered.samples), _bits(before))
 
     before = masked.samples.copy()

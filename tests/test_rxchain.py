@@ -14,6 +14,7 @@ import oamlink
 from oamlink import (ChannelSnapshot, MetricsReport, apply_channel,
                      compute_metrics, correlate_pilot, estimate_channel,
                      evm_percent, generate_pilot, mrc_combine, receive)
+from oamlink import rxchain
 from oamlink.errors import ChannelError, GeometryError
 from oamlink.rxchain import (OVERSAMPLE, SAMPLE_RATE, SYMBOL_RATE,
                              decide_symbols, noise_sigma, to_symbols,
@@ -118,6 +119,35 @@ def test_correlation_peak_lag_height_and_gain():
     assert scaled.peak_height == pytest.approx(trace.peak_height, rel=1e-9)
     with pytest.raises(GeometryError):
         correlate_pilot(stream[:100], pilot)
+
+
+def test_receive_correlates_over_smooth_lengths_with_one_pilot_spectrum(
+        monkeypatch):
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+    lengths = [rxchain._smooth_length(n) for n in range(1, 2000)]
+    assert lengths == [next(m for m in range(n, 2 * n + 1) if smooth(m))
+                       for n in range(1, 2000)]
+    # the default stream (2^7*5*13) and a 4096-symbol one (2^7*3*43)
+    assert rxchain._smooth_length(8320) == 8640
+    assert rxchain._smooth_length(16512) == 16875
+    pilot = generate_pilot(7, 1024)
+    chan = ChannelSnapshot(h=np.array([1.0, 0.5j, -0.5, 0.2 + 0.2j]))
+    streams = apply_channel(pilot, chan, 20.0, 1001, 64)
+    built = []
+    spectrum = rxchain._pilot_spectrum
+    monkeypatch.setattr(rxchain, "_pilot_spectrum",
+                        lambda *a: built.append(a) or spectrum(*a))
+    traces = receive(chan, pilot, 20.0, noise_seed=1001, guard_samples=64)[0]
+    assert len(built) == 1
+    # each antenna's trace has the bits of its own correlation
+    for stream, trace in zip(streams, traces):
+        alone = correlate_pilot(stream, pilot)
+        assert np.array_equal(trace.magnitude, alone.magnitude)
+        assert (trace.peak_lag, trace.gain) == (alone.peak_lag, alone.gain)
 
 
 def test_least_squares_estimate_exact_noiseless():

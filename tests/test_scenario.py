@@ -544,14 +544,14 @@ oamlink.run_experiment(cfg, out_dir=sys.argv[1])
 for order in (1, 3):   # no configured ring radius: the matched-radius path
     for obstructed in (False, True):
         run_scenario(scenario_from_config(cfg, order, obstructed))
-print(" ".join(m for m in ("scipy.fft", "scipy.special", "scipy.constants",
-                           "numpy.ma") if m in sys.modules))
+print(" ".join(m for m in ("scipy", "scipy.fft", "scipy.special",
+                           "scipy.constants", "numpy.ma") if m in sys.modules))
 """
 
 
 def test_a_run_imports_no_scipy_submodule(tmp_path):
     # a fresh process: the import, the setup and both kinds of run load
-    # neither scipy's FFT, special functions or constants nor numpy.ma
+    # no scipy module, not even the top-level package, and no numpy.ma
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

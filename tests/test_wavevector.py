@@ -7,34 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oamlink import (WaveguideGeom, WaveVectorTriple, beam_radius_at,
-                     guide_wavelength_coax, guide_wavelength_rect,
+from oamlink import (WaveVectorTriple, beam_radius_at, guide_wavelength_coax,
                      healing_prediction, wavevectors_at)
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import CutoffError, GeometryError
-
-
-def test_rect_guide_wavelength_formula():
-    a, lam = 0.02, 0.011
-    expected = lam / math.sqrt(1.0 - (lam / a) ** 2)
-    assert guide_wavelength_rect(a, lam) == pytest.approx(expected, rel=1e-14)
-    assert guide_wavelength_rect(a, lam) > lam
-
-
-def test_rect_guide_cutoff_and_validation():
-    with pytest.raises(CutoffError):
-        guide_wavelength_rect(0.011, 0.011)
-    with pytest.raises(CutoffError):
-        guide_wavelength_rect(0.005, 0.011)
-    with pytest.raises(GeometryError):
-        guide_wavelength_rect(0.02, -1.0)
-
-
-def test_waveguide_geom_tilt():
-    g = WaveguideGeom(broad_wall_a=0.022, wavelength=0.011)
-    assert math.cos(g.tilt_alpha) == pytest.approx(0.5, rel=1e-14)
-    with pytest.raises(CutoffError):
-        WaveguideGeom(broad_wall_a=0.010, wavelength=0.011)
 
 
 def test_coax_guide_wavelength_and_cutoff_boundary():
