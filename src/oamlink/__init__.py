@@ -24,5 +24,4 @@ from .scenario import (Scenario, ScenarioResult, default_config,
                        run_experiment, run_scenario, scenario_from_config,
                        validate_config)
 from .wavevector import (WaveVectorTriple, beam_radius_at,
-                         guide_wavelength_coax, healing_prediction,
-                         wavevectors_at)
+                         guide_wavelength_coax, wavevectors_at)

@@ -26,7 +26,7 @@ from .propagation import (ObstructionMask, apply_mask, propagate_to,
                           sample_at, sample_points, spectrum_field)
 from .rxchain import (MIN_PILOT_SYMBOLS, ChannelSnapshot, compute_metrics,
                       generate_pilot, noise_sigma, receive)
-from .wavevector import beam_radius_at, healing_prediction, wavevectors_at
+from .wavevector import beam_radius_at, wavevectors_at
 
 _REFERENCE_RING = (2, 0.149)   # order and radius every unmatched mode scales from
 
@@ -474,36 +474,25 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
     with _stage("link_plan"):
         plan = link_plan(cfg)
 
+    modes = [int(l) for l in cfg["modes"]]
     report = {
         "tool": {"name": "oamlink", "version": __version__,
                  "numpy": np.__version__},
         "config": cfg,
         "link_plan": plan,
         "modes": {},
-        "prediction": {},
+        # the model's side, kept apart from the simulated outcome
+        "prediction": {"tangential_wavevector_rad_per_m": {
+            str(l): wavevectors_at(beam_radius_at(
+                L, l, ring_radius_for(cfg, l), k), lam, l).k_T
+            for l in modes}},
     }
-
-    modes = [int(l) for l in cfg["modes"]]
     dump_dir = Path(out_dir) if dump_fields and out_dir is not None else None
     traces = []
     for l in modes:
         report["modes"][str(l)], pair = _run_order(cfg, l, mask, z_samples,
                                                    pilot, dump_dir)
         traces += pair
-
-    # Model-side prediction, kept separate from the simulated outcome.
-    r_at_l = {l: beam_radius_at(L, l, ring_radius_for(cfg, l), k)
-              for l in modes}
-    report["prediction"] = {
-        "tangential_wavevector_rad_per_m": {
-            str(l): wavevectors_at(r_at_l[l], lam, l).k_T for l in modes},
-        "healing_order_most_to_least": [
-            str(l) for l in sorted(modes, key=lambda l: -abs(l))],
-    }
-    if len(modes) >= 2:
-        winner = healing_prediction(modes[0], modes[1], r_at_l[modes[0]])
-        report["prediction"]["better_of_first_two"] = \
-            None if winner is None else str(winner)
 
     if out_dir is not None:
         out = Path(out_dir)

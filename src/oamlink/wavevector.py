@@ -66,17 +66,3 @@ def beam_radius_at(L: float, l: int, r: float, k: float,
         raise GeometryError("L, r and k must be positive")
     factor = first_max_abscissa(l) if exact else abs(l) + 1.0
     return L * factor / (r * k)
-
-
-def healing_prediction(l_a: int, l_b: int, R: float):
-    """Predicted self-healing ordering at beam radius R.
-
-    Returns the order expected to heal more (the one with the larger
-    tangential wave vector |l|/R), or ``None`` on a tie.
-    """
-    if R <= 0:
-        raise GeometryError("R must be positive")
-    kt_a, kt_b = abs(l_a) / R, abs(l_b) / R
-    if kt_a == kt_b:
-        return None
-    return l_a if kt_a > kt_b else l_b

@@ -1,8 +1,11 @@
 """Bessel implementation against an independent high-precision oracle."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from oamlink import bessel_j, bessel_j_signed, first_max_abscissa
 from oamlink.bessel import MAX_ARG, MAX_ORDER
@@ -10,27 +13,43 @@ from oamlink.errors import GeometryError
 
 mp.mp.dps = 30
 
+# arguments at and near 0, where a backward recurrence started for
+# |x| = MAX_ARG in the same call overflows unless it rescales each element
+TINY = [0.0, 5e-324, 1e-300, -1e-300, 1e-8, -1e-8]
+
 
 def _oracle(order, xs):
     return np.array([float(mp.besselj(order, mp.mpf(float(x)))) for x in xs])
 
 
 def test_matches_oracle_across_domain():
-    # coarse scan of the full supported domain; the dense 1e3-point grid of
+    # coarse scan of the full supported domain, both signs, with the tiny
+    # arguments in the same call as +-MAX_ARG; the dense 1e3-point grid of
     # the low orders lives in the acceptance suite
-    xs = np.linspace(0.0, MAX_ARG, 61)
-    worst = 0.0
-    for order in range(MAX_ORDER + 1):
-        err = np.max(np.abs(bessel_j(order, xs) - _oracle(order, xs)))
-        worst = max(worst, err)
+    xs = np.concatenate([np.linspace(-MAX_ARG, MAX_ARG, 121), TINY])
+    # np.max, not max: a NaN anywhere must fail the bound
+    worst = np.max([np.abs(bessel_j(order, xs) - _oracle(order, xs))
+                    for order in range(MAX_ORDER + 1)])
     assert worst <= 1e-10
 
 
 def test_series_recurrence_cutover_continuity():
-    # both branches straddle |x| = 12; they must agree where either applies
-    xs = np.linspace(10.0, 14.0, 81)
-    for order in (0, 3, 8):
-        assert np.max(np.abs(bessel_j(order, xs) - _oracle(order, xs))) <= 1e-12
+    # the power series runs below |x| = 1 and the backward recurrence from
+    # it up; both sides of the switch, and [10, 14], match the oracle
+    for xs in (np.linspace(0.9, 1.1, 41), np.linspace(-1.1, -0.9, 41),
+               np.linspace(10.0, 14.0, 81)):
+        for order in (0, 3, 8):
+            err = np.abs(bessel_j(order, xs) - _oracle(order, xs))
+            assert np.max(err) <= 1e-12
+
+
+def test_matches_scipy_densely_without_warnings():
+    xs = np.concatenate([np.linspace(-MAX_ARG, MAX_ARG, 20001), TINY])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in range(MAX_ORDER + 1):
+            err = np.abs(bessel_j(order, xs) - jv(order, xs))
+            assert np.max(err) <= 1e-13, order
 
 
 def test_three_term_recurrence_residual():

@@ -536,6 +536,7 @@ def test_wavelength_and_geometry_helpers():
 
 _RUN_IMPORTS = """
 import sys
+import numpy as np
 import oamlink
 from oamlink import run_scenario, scenario_from_config
 cfg = oamlink.validate_config({"grid": {"side": 64}})
@@ -544,14 +545,19 @@ oamlink.run_experiment(cfg, out_dir=sys.argv[1])
 for order in (1, 3):   # no configured ring radius: the matched-radius path
     for obstructed in (False, True):
         run_scenario(scenario_from_config(cfg, order, obstructed))
+for order in range(17):
+    oamlink.bessel_j(order, np.linspace(-100.0, 100.0, 2001))
+oamlink.far_field(oamlink.FarFieldPattern(
+    order_l=2, radius_r=0.149, wavelength=0.010707), 0.03, 0.5)
 print(" ".join(m for m in ("scipy", "scipy.fft", "scipy.special",
                            "scipy.constants", "numpy.ma") if m in sys.modules))
 """
 
 
 def test_a_run_imports_no_scipy_submodule(tmp_path):
-    # a fresh process: the import, the setup and both kinds of run load
-    # no scipy module, not even the top-level package, and no numpy.ma
+    # a fresh process: the import, the setup, both kinds of run, the Bessel
+    # function and the far-field pattern load no scipy module, not even
+    # the top-level package, and no numpy.ma
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -647,11 +653,10 @@ def test_experiment_report_structure_and_prediction():
     curve = report["modes"]["2"]["healing_curve"]
     assert curve["z_m"] == [11.0, 50.0]
     pred = report["prediction"]
+    assert set(pred) == {"tangential_wavevector_rad_per_m"}
     # larger order carries the larger tangential wave vector
     assert pred["tangential_wavevector_rad_per_m"]["4"] \
         > pred["tangential_wavevector_rad_per_m"]["2"]
-    assert pred["better_of_first_two"] == "4"
-    assert pred["healing_order_most_to_least"][0] == "4"
 
 
 def test_experiment_outputs_and_determinism(tmp_path):

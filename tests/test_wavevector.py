@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamlink import (WaveVectorTriple, beam_radius_at, guide_wavelength_coax,
-                     healing_prediction, wavevectors_at)
+                     wavevectors_at)
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import CutoffError, GeometryError
 
@@ -71,11 +71,3 @@ def test_beam_radius_small_argument_and_exact():
     with pytest.raises(GeometryError):
         beam_radius_at(-1.0, l, r, k)
 
-
-def test_healing_prediction_ordering():
-    assert healing_prediction(2, 4, 0.87) == 4
-    assert healing_prediction(4, 2, 0.87) == 4
-    assert healing_prediction(-4, 2, 0.87) == -4
-    assert healing_prediction(3, -3, 0.87) is None
-    with pytest.raises(GeometryError):
-        healing_prediction(2, 4, 0.0)
