@@ -3,6 +3,7 @@ on-disk snapshot format (``.oamf``)."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -14,6 +15,17 @@ _MAGIC = b"OAMF"
 _VERSION = 1
 _HEADER = struct.Struct("<IIddd")
 _WRITE_ROWS = 64
+
+
+def _require_geometry(extent: float, z_position: float,
+                      wavelength: float) -> None:
+    """A finite, positive extent and wavelength and a finite z (NaN fails
+    every comparison)."""
+    if not (0 < extent < math.inf and 0 < wavelength < math.inf):
+        raise GeometryError(f"extent and wavelength must be positive and "
+                            f"finite, got {extent!r} and {wavelength!r}")
+    if not -math.inf < z_position < math.inf:
+        raise GeometryError(f"z must be finite, got {z_position!r}")
 
 
 @dataclass
@@ -36,8 +48,7 @@ class ScalarField:
         side = self.samples.shape[0]
         if side < 64 or side & (side - 1):
             raise GeometryError("grid side must be a power of two >= 64")
-        if self.extent <= 0 or self.wavelength <= 0:
-            raise GeometryError("extent and wavelength must be positive")
+        _require_geometry(self.extent, self.z_position, self.wavelength)
 
     @property
     def side(self) -> int:
@@ -118,6 +129,7 @@ class FieldSpectrum:
         n = len(self.bins)
         if self.values.shape != (n, n):
             raise GeometryError("spectrum box must be square over its bins")
+        _require_geometry(self.extent, self.z_position, self.wavelength)
 
 
 def write_field(f: ScalarField, path):
@@ -149,6 +161,9 @@ def read_field(path) -> ScalarField:
                             f"{expected} for a {side}^2 grid")
     samples = np.frombuffer(data, dtype=np.complex64).reshape(side, side) \
         .astype(np.complex128)
-    return ScalarField(samples=samples, extent=side * spacing,
-                       z_position=z, wavelength=lam)
+    try:
+        return ScalarField(samples=samples, extent=side * spacing,
+                           z_position=z, wavelength=lam)
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None
 

@@ -22,14 +22,14 @@ made as ``out``, so a walk holds one grid per beam.  A walk that starts
 from a band-limited spectrum (``FieldSpectrum``, e.g. the source from
 ``beams.source_spectrum``) takes its first step as a ``launch``: the
 spectrum's box of bins times H and one inverse FFT, with no forward FFT,
-into a new grid.  The launch builds H over its box alone (195^2 bins at
-1024^2, against the 513^2 of a held quadrant) and holds none.  The
-inverse (``_inverse``) scatters the box into the new grid, which is
-zeroed, and runs the inverse along the columns only on the box's columns,
-each run of consecutive bins in place (a source spectrum's box has two),
-since every other column is zero, and along the rows on every row.  A
-mask multiplies only the samples of its shape's box where its map is not 1;
-the rest keep their bits, and the taper's signed zeros with them.
+into a new grid.  The launch gathers its box of H (195^2 bins at 1024^2)
+from the held quadrant of its key, as a step reads it.  The inverse
+(``_inverse``) scatters the box into the new grid, which is zeroed, and
+runs the inverse along the columns only on the box's columns, each run of
+consecutive bins in place (a source spectrum's box has two), since every
+other column is zero, and along the rows on every row.  A mask multiplies
+only the samples of its shape's box where its map is not 1; the rest keep
+their bits, and the taper's signed zeros with them.
 
 Every grid is a zeroed ``(side, side)`` view of a ``(side, side + 12)``
 buffer (``_grid``), so a row is an odd number of 64-byte cache lines:
@@ -41,33 +41,35 @@ H depends only on (side, extent, wavelength, dz).  H is even in fx and
 in fy, so a step needs only the quadrant of bins 0..side//2 of H,
 ``(side//2 + 1)**2 * 16`` bytes (4.0 MiB at 1024^2); bin i of the grid
 reads row or column ``min(i, side - i)`` of the quadrant (``_mirror``).
-The process holds one quadrant, read-only: the last step's (``_HELD``,
-reached through ``_transfer``).  A step with the same key reads it; a
-step with another key frees it and then builds its own, so no more than
-one quadrant is alive, even during a build.  A walk whose hop lengths
-alternate rebuilds them (the default experiment builds its 1, 4 and 5 m
-quadrants once per order, six builds of 9-15 ms each at 1024^2), and a
-rebuilt quadrant has the bits of the first.  A build runs
-``_BUILD_ROWS`` rows at a time, so its temporaries are one block's.
-Builds are single-flight: ``_transfer`` runs under a lock, so two threads
-that miss a key at once build it once.
+Every step and launch reads the held quadrant of its key: the process
+holds one, read-only (``_HELD``, reached through ``_transfer``), and a
+step or launch with another key frees it and then builds its own, so no
+more than one quadrant is alive, even during a build.  A walk whose hop
+lengths alternate rebuilds them (the default experiment builds its 10, 1,
+4 and 5 m quadrants once per order), and a rebuilt quadrant has the bits
+of the first.  A build runs ``_BUILD_ROWS`` rows at a time, its rows
+split over the cores as an FFT pass is, so its temporaries are one
+block's per core.  Builds are single-flight: ``_transfer`` runs under a
+lock, so two threads that miss a key at once build it once.
 
-Only the FFT passes use threads.  A step runs as passes over the grid
-with a barrier between them: the copy, unless the step is in place, and
-the forward FFT along the columns, the forward FFT along the rows and the
-multiply by H, the inverse FFT along the columns, the inverse along the
-rows with ``propagate_to``'s edge taper (``_inverse_rows``).  Each pass is
-split (``_split``) into one range of columns or rows per core, over
-``_FFT_WORKERS`` cores: all cores in the process's affinity set
-(``os.sched_getaffinity``, else ``os.cpu_count()``), with no setting.
-The calling thread runs the first range and helper threads
-(``_part_pool``, started on first use) the others.  The mask's copy and
-multiply and the launch's scatter are memory-bound (in place at 1024^2 on
-2 cores, no faster split) and run on the calling thread.  A runner's beams step
-one after the other.  Each FFT runs on one thread and releases the GIL.
-The 1-D transforms are independent and 1/side per inverse pass is a
-power of two, so whatever the count a step is bit for bit ``fft`` along
-axis 0, then axis 1, times H, then ``ifft`` along axis 0, then axis 1.
+Threads run the FFT passes and the quadrant's build.  A step runs as
+passes over the grid with a barrier between them: the copy, unless the
+step is in place, and the forward FFT along the columns, the forward FFT
+along the rows and the multiply by H, the inverse FFT along the columns,
+the inverse along the rows with ``propagate_to``'s edge taper
+(``_inverse_rows``).  Each pass, and each build, is split (``_split``)
+into one range of columns or rows per core, over ``_FFT_WORKERS`` cores:
+all cores in the process's affinity set (``os.sched_getaffinity``, else
+``os.cpu_count()``), with no setting.  The calling thread runs the first
+range and helper threads (``_part_pool``, started on first use) the
+others.  The mask's copy and multiply and the launch's gather and scatter
+run on the calling thread (the copy, the multiply and the scatter are
+memory-bound: at 1024^2 on 2 cores no split ran faster).  A runner's
+beams step one after the other.  Each FFT runs on one thread and releases
+the GIL.  The 1-D transforms are independent, each element of H is built
+the same way in any block, and 1/side per inverse pass is a power of two,
+so whatever the count a step is bit for bit ``fft`` along axis 0, then
+axis 1, times H, then ``ifft`` along axis 0, then axis 1.
 """
 
 from __future__ import annotations
@@ -145,11 +147,9 @@ def _frequencies(side: int, extent: float) -> np.ndarray:
 
 
 def _transfer_block(fy: np.ndarray, fx: np.ndarray, extent: float,
-                    wavelength: float, dz: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    wavelength: float, dz: float, out: np.ndarray) -> None:
     """H at row frequencies ``fy`` and column frequencies ``fx``, written to
-    ``out`` if given, else to a new array, and returned:
-    exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the kept band, 0
+    ``out``: exp(j*2*pi*dz*sqrt(1/lambda^2 - fx^2 - fy^2)) on the kept band, 0
     elsewhere.  The band keeps the propagating components with |fx|, |fy|
     <= ``_band_limit``.  Each element is the same sequence of operations
     wherever the block lies, so blocks of a grid equal its one-piece build
@@ -163,17 +163,17 @@ def _transfer_block(fy: np.ndarray, fx: np.ndarray, extent: float,
     np.sqrt(phase, out=phase)
     phase *= 2.0 * np.pi
     phase *= dz
-    out = np.multiply(phase, 1j, out=out)
+    np.multiply(phase, 1j, out=out)
     np.exp(out, out=out)
     out *= keep
-    return out
 
 
 def _transfer_function(side: int, extent: float, wavelength: float,
                        dz: float) -> np.ndarray:
     """A new, read-only quadrant of H for one step, over bins 0..side//2 of
-    each axis (``_transfer_block``), built ``_BUILD_ROWS`` rows at a time.
-    Steps reach it through ``_transfer``.
+    each axis (``_transfer_block``), built ``_BUILD_ROWS`` rows at a time,
+    its rows split over the cores (``_split``).  Steps and launches reach it
+    through ``_transfer``.
 
     Bins i and side - i hold frequencies of opposite sign and equal
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
@@ -181,9 +181,14 @@ def _transfer_function(side: int, extent: float, wavelength: float,
     equals the full-grid build element for element."""
     fx = _frequencies(side, extent)
     transfer = np.empty((len(fx), len(fx)), dtype=np.complex128)
-    for lo in range(0, len(fx), _BUILD_ROWS):
-        rows = slice(lo, lo + _BUILD_ROWS)
-        _transfer_block(fx[rows], fx, extent, wavelength, dz, transfer[rows])
+
+    def work(lo, hi):
+        for a in range(lo, hi, _BUILD_ROWS):
+            rows = slice(a, min(a + _BUILD_ROWS, hi))
+            _transfer_block(fx[rows], fx, extent, wavelength, dz,
+                            transfer[rows])
+
+    _split(len(fx), work)
     transfer.flags.writeable = False
     return transfer
 
@@ -310,13 +315,14 @@ def launch(spectrum: FieldSpectrum, dz: float, *,
     """Field at z + dz of a field given by its band-limited spectrum: the box
     times H over the box's bins, scattered into a zeroed grid, and one
     inverse FFT, over every row.  It equals ``propagate`` of the spectrum's
-    field, without the forward FFT.  H is built over the box alone, with the
-    quadrant's formula, and not held: the held quadrant stays as it was."""
+    field, without the forward FFT.  H's box is gathered from the held
+    quadrant of the step's key (``_transfer``), as a step reads it: bin i
+    reads quadrant index ``min(i, side - i)``."""
     _require_step(dz)
-    side, extent, lam = spectrum.side, spectrum.extent, spectrum.wavelength
-    f = _frequencies(side, extent)[np.minimum(spectrum.bins,
-                                              side - spectrum.bins)]
-    box = _transfer_block(f, f, extent, lam, dz)
+    side = spectrum.side
+    fold = np.minimum(spectrum.bins, side - spectrum.bins)
+    box = _transfer(side, spectrum.extent, spectrum.wavelength,
+                    dz)[np.ix_(fold, fold)]
     # The bits of a complex product depend on the operands' order, so the
     # order is written out: H times the values, in H's box.
     return _inverse(spectrum, np.multiply(box, spectrum.values, out=box), dz,

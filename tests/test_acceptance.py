@@ -138,18 +138,21 @@ def test_criterion_5_numerical_engine(verdict):
 
 
 def test_criterion_6_bessel_accuracy(verdict):
+    # np.max over every error is NaN, and fails, if any error is NaN
     xs = np.linspace(0.0, 50.0, 1000)
-    worst = 0.0
+    errors = []
     for order in range(0, 9):
         oracle = np.array([float(mp.besselj(order, mp.mpf(float(x))))
                            for x in xs])
-        worst = max(worst, float(np.max(np.abs(bessel_j(order, xs) - oracle))))
+        errors.append(np.abs(bessel_j(order, xs) - oracle))
+    worst = float(np.max(errors))
     xr = np.linspace(0.5, 50.0, 500)
-    resid = 0.0
+    residuals = []
     for order in range(1, 9):
         lhs = bessel_j(order - 1, xr) + bessel_j(order + 1, xr)
         rhs = 2.0 * order / xr * bessel_j(order, xr)
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
+        residuals.append(np.abs(lhs - rhs))
+    resid = float(np.max(residuals))
     ok = worst <= 1e-10 and resid <= 1e-9
     verdict(6, ok, f"max |J - oracle| {worst:.1e} <= 1e-10 over l<=8 on "
              f"1000 points of [0, 50]; recurrence residual {resid:.1e} <= 1e-9")
@@ -158,7 +161,7 @@ def test_criterion_6_bessel_accuracy(verdict):
 def test_criterion_7_wavevector_identities(verdict):
     rng = np.random.default_rng(2024)
     draws = 10000
-    worst = 0.0
+    residuals = []
     cutoff_checks = 0
     for _ in range(draws):
         r = rng.uniform(0.05, 10.0)
@@ -175,10 +178,10 @@ def test_criterion_7_wavevector_identities(verdict):
             cutoff_checks += 1
             continue
         triple = wavevectors_at(r, lam_z, l)
-        worst = max(worst,
-                    abs(triple.k ** 2 - triple.k_z ** 2 - triple.k_T ** 2)
-                    / triple.k ** 2,
-                    abs(triple.k - 2 * math.pi / lam) / (2 * math.pi / lam))
+        residuals += [abs(triple.k ** 2 - triple.k_z ** 2 - triple.k_T ** 2)
+                      / triple.k ** 2,
+                      abs(triple.k - 2 * math.pi / lam) / (2 * math.pi / lam)]
+    worst = float(np.max(residuals))   # NaN, and a failure, if any is NaN
     ok = worst <= 1e-12
     verdict(7, ok, f"k^2 identity residual {worst:.1e} <= 1e-12 over "
              f"{draws} draws; cutoff raised iff |l|*lambda >= 2*pi*r "

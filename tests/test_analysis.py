@@ -351,8 +351,8 @@ def test_runs_hold_one_grid_per_beam(monkeypatch, tmp_path):
     _peak_grids(lambda: _run_order(cfg, planes), 256)
     assert walked[-1] / (256 * (256 + _GRID_PAD) * 16) < 3
     # from cold, the default run adds one transfer-function quadrant (0.25
-    # grids) and a build's temporaries: each hop length frees the quadrant
-    # of the one before, and the launch holds none
+    # grids) and a build's temporaries: each hop length, the launch's
+    # included, frees the quadrant of the one before
     assert _peak_grids(_default_walk(1024), 1024, cold=True) < 2.4
     # both orders, one after the other: the similarity's temporaries are a
     # block of rows, not the annulus
@@ -366,13 +366,14 @@ def test_runs_hold_one_grid_per_beam(monkeypatch, tmp_path):
 
 
 def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):
-    # both beams reach each new hop length; the clear beam's step builds its
-    # quadrant and the obstructed beam's step reads it
+    # the launch builds the 10 m quadrant; both beams reach each new hop
+    # length, the clear beam's step builds its quadrant and the obstructed
+    # beam's step reads it
     monkeypatch.setattr(propagation, "_FFT_WORKERS", 2)
     walk = _default_walk(256)
     built = _count_builds(monkeypatch)
     walk()
-    assert [key[-1] for key in built] == [1.0, 4.0, 5.0]
+    assert [key[-1] for key in built] == [10.0, 1.0, 4.0, 5.0]
 
 
 def _record_fft_threads(monkeypatch):

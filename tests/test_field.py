@@ -1,5 +1,7 @@
 """Sampled-field container, geometry guards and snapshot formats."""
 
+import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from oamlink import ScalarField, read_field, write_field
 from oamlink.errors import GeometryError, PlaneMismatchError
+from oamlink.field import FieldSpectrum
 
 
 def _field(side=64, extent=0.64, z=1.5, lam=0.0107, seed=0):
@@ -45,6 +48,34 @@ def test_validation():
         ScalarField(np.zeros((64, 64)), -1.0, 0.0, 0.01)
     with pytest.raises(GeometryError):
         ScalarField(np.zeros((64, 64)), 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("extent, z, lam", [
+    (math.inf, 0.0, 0.01), (math.nan, 0.0, 0.01), (1.0, 0.0, math.inf),
+    (1.0, 0.0, math.nan), (1.0, math.inf, 0.01), (1.0, -math.inf, 0.01),
+    (1.0, math.nan, 0.01)])
+def test_non_finite_geometry_is_rejected(extent, z, lam):
+    with pytest.raises(GeometryError):
+        ScalarField(np.zeros((64, 64)), extent, z, lam)
+    with pytest.raises(GeometryError):
+        FieldSpectrum(np.zeros((2, 2)), np.arange(2), 64, extent, z, lam)
+
+
+def test_snapshot_with_non_finite_geometry_is_rejected(tmp_path):
+    # a header of spacing NaN, z inf and wavelength NaN was read as a field;
+    # each alone is rejected, naming the path
+    path = tmp_path / "bad.oamf"
+
+    def snapshot(spacing, z, lam):
+        path.write_bytes(b"OAMF" + struct.pack("<IIddd", 1, 64, spacing, z,
+                                               lam) + bytes(64 * 64 * 8))
+        return path
+
+    assert read_field(snapshot(0.01, 1.5, 0.0107)).extent == 0.64
+    for header in ((math.nan, math.inf, math.nan), (math.nan, 1.5, 0.0107),
+                   (0.01, math.inf, 0.0107), (0.01, 1.5, math.nan)):
+        with pytest.raises(GeometryError, match="bad.oamf"):
+            read_field(snapshot(*header))
 
 
 def test_same_plane_checks():

@@ -16,8 +16,9 @@ from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
 from oamlink.beams import synthesize_source_field
 from oamlink.bessel import first_max_abscissa
 from oamlink.errors import GeometryError, OutOfExtentError, PlaneMismatchError
-from oamlink.propagation import (_band_limit, _transfer_function,
-                                 angular_bandlimit, propagate_to, sample_at)
+from oamlink.propagation import (_band_limit, _transfer_block,
+                                 _transfer_function, angular_bandlimit,
+                                 propagate_to, sample_at)
 from tests.oracles import (absorb_edges, analytic_source,
                            rayleigh_sommerfeld_reference)
 
@@ -349,9 +350,11 @@ def test_angular_bandlimit():
 
 def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
     # three cores split the grid unevenly (21/21/22 rows at 64^2, 341/341/342
-    # at 1024^2) and the launch's 195-column box (65 each at 1024^2)
+    # at 1024^2, and 11/11/11 or 171/171/171 rows of a quadrant's build) and
+    # the launch's 195-column box (65 each at 1024^2)
     lam, theta = 299792458.0 / 28e9, math.radians(5.0)
     ring = SourceRing(radius_r=0.149, num_elements_N=238, order_l=2)
+    built = _count_builds(monkeypatch)
     for side in (64, 1024):
         spectrum = source_spectrum(ring, side, 12.0, lam, theta)
         field = launch(spectrum, 10.0)
@@ -360,6 +363,8 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
         outputs = {}
         for cores in (1, 2, 3, 4):
             monkeypatch.setattr(propagation, "_FFT_WORKERS", cores)
+            propagation._HELD.clear()
+            built.clear()
             mine = [_own(field) for _ in range(3)]
             outputs[cores] = [
                 propagate(field, 10.0).samples,
@@ -372,6 +377,8 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
                 propagate_to(mine[1], 14.0, max_step=2.0, edge_margin=0.5,
                              out=mine[1].samples).samples,
                 apply_mask(mine[2], mask, out=mine[2].samples).samples]
+            # every count built its own quadrants, split over its cores
+            assert [key[-1] for key in built] == [10.0, 2.0, 10.0, 2.0]
             # the steps wrote none of their inputs
             assert np.array_equal(spectrum.values, values)
             assert np.array_equal(field.samples, samples)
@@ -590,20 +597,47 @@ def test_threads_that_miss_a_key_together_build_it_once(monkeypatch):
     assert built == [key]
 
 
-def test_launch_builds_its_box_of_the_transfer_function_uncached(
-        monkeypatch):
-    f = _bandlimited_field()
-    spectrum = source_spectrum(SourceRing(0.149, 238, 2), 256, 12.0, 0.0107,
+@pytest.mark.parametrize("side", [64, 1024])
+def test_launch_reads_the_held_quadrant_of_its_key(side, monkeypatch):
+    # 12 m at 1024^2 keeps a 195-bin box of the 5-degree cone; at 64^2 the
+    # cone covers every bin
+    lam = 0.0107
+    spectrum = source_spectrum(SourceRing(0.149, 238, 2), side, 12.0, lam,
                                math.radians(5.0))
+    field = spectrum_field(spectrum)
+    key = (side, 12.0, lam, 10.0)
     built = _count_builds(monkeypatch)
-    propagate(f, 0.5)
-    held = dict(propagation._HELD)
+    propagate(field, 10.0)
+    held = propagation._HELD[key]
+    boxes = []
+    real_inverse = propagation._inverse
+
+    def recording(spectrum, values, *args):
+        boxes.append(values.copy())
+        return real_inverse(spectrum, values, *args)
+
+    monkeypatch.setattr(propagation, "_inverse", recording)
     launch(spectrum, 10.0)
     launch(spectrum, 10.0)
-    # the launches build no quadrant and leave the held one in place
-    assert len(built) == 1
-    assert propagation._HELD.keys() == held.keys()
-    assert all(propagation._HELD[k] is held[k] for k in held)
+    # after a step of the same key the launches build nothing
+    assert built == [key]
+    assert list(propagation._HELD) == [key]
+    assert propagation._HELD[key] is held
+    # the box is gathered from the quadrant, with the bits of a build over
+    # the box alone, and multiplies the values in that order
+    fold = np.minimum(spectrum.bins, side - spectrum.bins)
+    box = _transfer_function(*key)[np.ix_(fold, fold)]
+    f = np.fft.fftfreq(side, d=12.0 / side)[fold]
+    alone = np.empty_like(box)
+    _transfer_block(f, f, 12.0, lam, 10.0, alone)
+    assert np.array_equal(_bits(box), _bits(alone))
+    for values in boxes:
+        assert np.array_equal(_bits(values),
+                              _bits(np.multiply(box, spectrum.values)))
+    # a launch of a new length replaces the held quadrant
+    launch(spectrum, 3.0)
+    assert built == [key, (*key[:3], 3.0)]
+    assert list(propagation._HELD) == [(*key[:3], 3.0)]
 
 
 @pytest.mark.parametrize("dz", [float("nan"), float("inf"), -float("inf")])
