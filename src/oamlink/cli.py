@@ -77,8 +77,8 @@ def cmd_simulate(args):
 
 def cmd_experiment(args):
     cfg = _apply_overrides(_load_config(args.config), args)
-    report = run_experiment(cfg, out_dir=_out_dir(args),
-                            dump_fields=args.dump_fields)
+    out = _out_dir(args)
+    report = run_experiment(cfg, out, out if args.dump_fields else None)
     for l, data in sorted(report["modes"].items(), key=lambda kv: int(kv[0])):
         print(f"mode {l}: d_power={data['d_power_db']:+.2f} dB  "
               f"d_snr={data['d_snr_db_mean']:+.2f} dB  "

@@ -13,10 +13,10 @@ function H and the inverse FFT; the returned field holds the grid.  The
 FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
 numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
 bits, and a run imports no scipy module.  The ``out`` of a step, or of
-``apply_mask``, is None, for a new grid with the field copied into it and
-the field never written, or ``field.samples``, for the same passes in the
-field's own grid with no copy.  ``propagate_to`` steps in place from its
-second step on, since those fields are its own, and the runners
+``apply_mask``, is None, for a new grid into which ``_target`` copies the
+field, which is never written, or ``field.samples``, for the same passes
+in the field's own grid with no copy.  ``propagate_to`` steps in place
+from its second step on, since those fields are its own, and the runners
 (``scenario.run_scenario``, ``scenario._run_order``) pass the grids they
 made as ``out``, so a walk holds one grid per beam.  A walk that starts
 from a band-limited spectrum (``FieldSpectrum``, e.g. the source from
@@ -31,8 +31,9 @@ other column is zero, and along the rows on every row.  A mask multiplies
 only the samples of its shape's box where its map is not 1; the rest keep
 their bits, and the taper's signed zeros with them.
 
-Every grid is a zeroed ``(side, side)`` view of a ``(side, side + 12)``
-buffer (``_grid``), so a row is an odd number of 64-byte cache lines:
+Every grid is a ``(side, side)`` view of a ``(side, side + 12)`` buffer
+(``_grid``), zeroed for the inverse's scatter and left unset under
+``_target``'s copy, so a row is an odd number of 64-byte cache lines:
 side/4 + 3, 259 at 1024^2.  With an even number of lines the samples of a
 column map to half of the cache sets or fewer (to one with a power-of-two
 stride), and the transforms along the columns thrash.
@@ -53,23 +54,23 @@ block's per core.  Builds are single-flight: ``_transfer`` runs under a
 lock, so two threads that miss a key at once build it once.
 
 Threads run the FFT passes and the quadrant's build.  A step runs as
-passes over the grid with a barrier between them: the copy, unless the
-step is in place, and the forward FFT along the columns, the forward FFT
-along the rows and the multiply by H, the inverse FFT along the columns,
+passes over the grid with a barrier between them: the forward FFT along
+the columns, the forward FFT along the rows and the multiply by H, the
+inverse FFT along the columns (both column passes run by ``_columns``),
 the inverse along the rows with ``propagate_to``'s edge taper
 (``_inverse_rows``).  Each pass, and each build, is split (``_split``)
 into one range of columns or rows per core, over ``_FFT_WORKERS`` cores:
 all cores in the process's affinity set (``os.sched_getaffinity``, else
 ``os.cpu_count()``), with no setting.  The calling thread runs the first
 range and helper threads (``_part_pool``, started on first use) the
-others.  The mask's copy and multiply and the launch's gather and scatter
-run on the calling thread (the copy, the multiply and the scatter are
-memory-bound: at 1024^2 on 2 cores no split ran faster).  A runner's
-beams step one after the other.  Each FFT runs on one thread and releases
-the GIL.  The 1-D transforms are independent, each element of H is built
-the same way in any block, and 1/side per inverse pass is a power of two,
-so whatever the count a step is bit for bit ``fft`` along axis 0, then
-axis 1, times H, then ``ifft`` along axis 0, then axis 1.
+others.  ``_target``'s copy, the mask's multiply and the launch's gather
+and scatter run on the calling thread (the copy, the multiply and the
+scatter are memory-bound: at 1024^2 on 2 cores no split ran faster).  A
+runner's beams step one after the other.  Each FFT runs on one thread
+and releases the GIL.  The 1-D transforms are independent, each element
+of H is built the same way in any block, and 1/side per inverse pass is a
+power of two, so whatever the count a step is bit for bit ``fft`` along
+axis 0, then axis 1, times H, then ``ifft`` along axis 0, then axis 1.
 """
 
 from __future__ import annotations
@@ -121,16 +122,21 @@ def _split(n: int, work) -> None:
         part.result()
 
 
-def _grid(side: int) -> np.ndarray:
-    """A ``(side, side)`` view of a new, zeroed ``(side, side + 12)``
-    complex128 buffer."""
-    return np.zeros((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
+def _grid(side: int, new=np.zeros) -> np.ndarray:
+    """A ``(side, side)`` view of a new ``(side, side + 12)`` complex128
+    buffer, zeroed unless ``new`` is ``np.empty``."""
+    return new((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
 def _target(samples: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A new grid for ``out=None``, else ``out``, which must be ``samples``."""
+    """The grid a step or a mask writes: ``out``, which must be
+    ``samples``, or, for ``out=None``, a new grid holding a copy of
+    ``samples``, written once on the calling thread with no memset before
+    it (its padding columns, never read, are left as they come)."""
     if out is None:
-        return _grid(samples.shape[0])
+        grid = _grid(samples.shape[0], np.empty)
+        grid[...] = samples
+        return grid
     if out is not samples:
         raise GeometryError("out must be None or the field's own samples")
     return out
@@ -242,45 +248,40 @@ def propagate(field: ScalarField, dz: float, out: np.ndarray | None = None,
               *, _margin: float = 0.0, _rows=None) -> ScalarField:
     """Field at z + dz via the band-limited angular-spectrum method: the
     2-D FFT, times H, and the inverse 2-D FFT, in four FFT passes, each
-    split over the cores (``_split``): the copy, unless the step is in
-    place, and the forward FFT on column ranges; the forward FFT and the
-    multiply by H on row ranges; the inverse FFT on column ranges, then on
-    row ranges (``_inverse_rows``, with ``propagate_to``'s taper and rows).
+    split over the cores (``_split``): the forward FFT on column ranges
+    (``_columns``); the forward FFT and the multiply by H on row ranges;
+    the inverse FFT on column ranges (``_columns``), then on row ranges
+    (``_inverse_rows``, with ``propagate_to``'s taper and rows).
 
-    ``out`` is None, for a new grid, or ``field.samples``, which steps the
+    ``out`` is None, for a new grid that ``_target`` fills with a copy of
+    the field before the passes, or ``field.samples``, which steps the
     field in its own grid and holds no field if the step raises.
     """
     _require_step(dz)
     transfer = _transfer(field.side, field.extent, field.wavelength, dz)
-    samples = field.samples
-    grid = _target(samples, out)
-
-    def forward_columns(lo, hi):
-        columns = grid[:, lo:hi]
-        if grid is not samples:
-            columns[...] = samples[:, lo:hi]
-        fft.fft(columns, axis=0, out=columns)
+    grid = _target(field.samples, out)
 
     def forward_rows(lo, hi):
         rows = grid[lo:hi]
         fft.fft(rows, axis=1, out=rows)
         _multiply_unfolded(grid, transfer, lo, hi)
 
-    for work in (forward_columns, forward_rows):
-        _split(field.side, work)
-    _inverse_columns(grid, np.arange(field.side))
+    columns = np.arange(field.side)
+    _columns(grid, columns, fft.fft)
+    _split(field.side, forward_rows)
+    _columns(grid, columns, fft.ifft)
     _inverse_rows(grid, _margin, _rows)
     return field.with_samples(grid, z=field.z_position + dz)
 
 
-def _inverse_columns(grid: np.ndarray, columns: np.ndarray) -> None:
-    """The inverse FFT along axis 0 of the sorted ``columns`` of ``grid``, in
-    place, one run of consecutive columns at a time (``_runs``), split over
-    the cores (``_split``)."""
+def _columns(grid: np.ndarray, columns: np.ndarray, transform) -> None:
+    """``transform`` (``fft.fft`` or ``fft.ifft``) along axis 0 of the
+    sorted ``columns`` of ``grid``, in place, one run of consecutive columns
+    at a time (``_runs``), split over the cores (``_split``)."""
     def work(lo, hi):
         for a, b in _runs(columns[lo:hi]):
             block = grid[:, a:b]
-            fft.ifft(block, axis=0, out=block)
+            transform(block, axis=0, out=block)
 
     _split(len(columns), work)
 
@@ -356,7 +357,7 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
     bins = spectrum.bins
     grid = _grid(spectrum.side)
     grid[np.ix_(bins, bins)] = values
-    _inverse_columns(grid, np.sort(bins))
+    _columns(grid, np.sort(bins), fft.ifft)
     _inverse_rows(grid, margin, None)
     return ScalarField(samples=grid, extent=spectrum.extent,
                        z_position=spectrum.z_position + dz,
@@ -476,15 +477,13 @@ def apply_mask(field: ScalarField, mask: ObstructionMask,
     The map is built only over the box of rows and columns the shape
     reaches, and multiplied only where it is not 1: samples where the map is
     1 keep the input's bits, signed zeros included, and the rest are input
-    times map.  ``out`` is None, for a new grid with the samples copied into
-    it, or ``field.samples``, which masks the field in place."""
+    times map.  ``out`` is None, for a new grid that ``_target`` fills with
+    a copy of the samples, or ``field.samples``, which masks the field in
+    place."""
     if abs(mask.z_position - field.z_position) > 1e-9:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
-    samples = field.samples
-    grid = _target(samples, out)
-    if grid is not samples:
-        grid[...] = samples
+    grid = _target(field.samples, out)
     c = field.coords()
     dx, dy = c - mask.center_x, c - mask.center_y
     cols, rows = (np.flatnonzero(span) for span in mask._spans(dx, dy))

@@ -105,12 +105,11 @@ def apply_channel(pilot: PilotSignal, chan: ChannelSnapshot, snr_db: float,
     rng = np.random.default_rng(noise_seed)
     n_ant = len(chan.h)
     total = p.size + 2 * guard_samples
-    noise = noise_sigma(snr_db) / np.sqrt(2.0) * (
+    streams = noise_sigma(snr_db) / np.sqrt(2.0) * (
         rng.standard_normal((n_ant, total))
         + 1j * rng.standard_normal((n_ant, total)))
-    signal = np.zeros((n_ant, total), dtype=np.complex128)
-    signal[:, guard_samples:guard_samples + p.size] = chan.h[:, None] * p[None, :]
-    return signal + noise
+    streams[:, guard_samples:guard_samples + p.size] += chan.h[:, None] * p[None, :]
+    return streams
 
 
 def _smooth_length(n: int) -> int:

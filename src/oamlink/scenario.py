@@ -455,12 +455,14 @@ def _complex_list(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values)]
 
 
-def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
+def run_experiment(cfg: dict, out_dir=None, dump_dir=None) -> dict:
     """Run the (modes) x (clear, obstructed) matrix and assemble the report.
 
     Clear line-of-sight channel magnitudes are equalized across modes before
     the obstructed comparison, mirroring the equal-received-level calibration
-    of the modeled experiment.
+    of the modeled experiment.  The report and its CSVs go to ``out_dir``,
+    each order's last-plane fields to the ``Path`` ``dump_dir``; either may
+    be None.
     """
     cfg = validate_config(cfg)
     lam = wavelength_from(cfg)
@@ -487,7 +489,6 @@ def run_experiment(cfg: dict, out_dir=None, dump_fields: bool = False) -> dict:
                 L, l, ring_radius_for(cfg, l), k), lam, l).k_T
             for l in modes}},
     }
-    dump_dir = Path(out_dir) if dump_fields and out_dir is not None else None
     traces = []
     for l in modes:
         report["modes"][str(l)], pair = _run_order(cfg, l, mask, z_samples,

@@ -727,6 +727,20 @@ def test_grid_rows_are_an_odd_number_of_cache_lines(side):
     assert not np.any(grid.base)
 
 
+@pytest.mark.parametrize("side", [64, 1024])
+def test_a_step_or_mask_without_out_copies_into_a_padded_grid(side):
+    # out=None: the copy goes to a grid with _grid's row stride, which holds
+    # no memory of the field's, whether the field's grid is padded or not
+    field = _bandlimited_field(side)
+    mask = ObstructionMask("disk", 0.1, 0.0, (0.2,), 0.0)
+    for f in (field, _own(field)):
+        for made in (propagate(f, 0.5), apply_mask(f, mask)):
+            grid = made.samples
+            assert grid.strides[0] % 64 == 0
+            assert grid.strides[0] // 64 % 2 == 1
+            assert not np.shares_memory(grid, f.samples)
+
+
 def test_mask_validation():
     with pytest.raises(GeometryError):
         ObstructionMask("sphere", 0, 0, (1.0,), 10.0)

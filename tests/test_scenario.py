@@ -671,6 +671,16 @@ def test_experiment_outputs_and_determinism(tmp_path):
     assert header == "mode,z_m,similarity,mode_purity"
 
 
+def test_experiment_dumps_every_orders_fields_without_out_dir(tmp_path):
+    # dump_dir alone: each order's last-plane fields, and no report
+    run_experiment(_small_cfg(), dump_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"field_l{l}_{run}_z50.oamf" for l in (2, 4)
+        for run in ("clear", "obstructed")]
+    for path in tmp_path.iterdir():
+        assert read_field(path).z_position == 50.0
+
+
 def test_cli_plan(tmp_path, capsys):
     rc = main(["plan", "--out", str(tmp_path)])
     assert rc == 0
