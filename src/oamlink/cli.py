@@ -10,9 +10,9 @@ from pathlib import Path
 
 from .bessel import MAX_ORDER
 from .errors import ConfigError, OamLinkError
-from .scenario import (default_config, is_order, link_plan, run_experiment,
-                       run_scenario, scenario_from_config, validate_config,
-                       write_report)
+from .scenario import (default_config, is_order, link_plan, report_json,
+                       run_experiment, run_scenario, scenario_from_config,
+                       validate_config, write_report)
 
 
 def _load_config(path):
@@ -49,7 +49,7 @@ def cmd_plan(args):
     cfg = _apply_overrides(_load_config(args.config), args)
     plan = link_plan(cfg)
     write_report(plan, _out_dir(args) / "plan.json")
-    print(json.dumps(plan, indent=2, sort_keys=True))
+    print(report_json(plan))
 
 
 def cmd_simulate(args):
@@ -72,7 +72,7 @@ def cmd_simulate(args):
         "channel_phases_deg": result.metrics.channel_phases_deg,
     }
     write_report(summary, out / "scenario.json")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(report_json(summary))
 
 
 def cmd_experiment(args):

@@ -126,7 +126,13 @@ class FieldSpectrum:
     wavelength: float
 
     def __post_init__(self):
-        n = len(self.bins)
+        bins = np.asarray(self.bins)
+        if not (bins.ndim == 1 and np.issubdtype(bins.dtype, np.integer)
+                and np.all((0 <= bins) & (bins < self.side))
+                and np.all(np.diff(np.sort(bins)) > 0)):
+            raise GeometryError(f"spectrum bins must be distinct integers "
+                                f"in [0, {self.side})")
+        n = len(bins)
         if self.values.shape != (n, n):
             raise GeometryError("spectrum box must be square over its bins")
         _require_geometry(self.extent, self.z_position, self.wavelength)

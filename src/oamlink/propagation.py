@@ -12,17 +12,17 @@ A step runs, in one grid, the forward FFT, the multiply by the transfer
 function H and the inverse FFT; the returned field holds the grid.  The
 FFTs are ``numpy.fft``'s (complex128), each in place through ``out``:
 numpy 2 wraps the same pocketfft code as ``scipy.fft``, with the same
-bits, and a run imports no scipy module.  The ``out`` of a step, or of
-``apply_mask``, is None, for a new grid into which ``_target`` copies the
-field, which is never written, or ``field.samples``, for the same passes
-in the field's own grid with no copy.  ``propagate_to`` steps in place
-from its second step on, since those fields are its own, and the runners
-(``scenario.run_scenario``, ``scenario._run_order``) pass the grids they
-made as ``out``, so a walk holds one grid per beam.  A walk that starts
-from a band-limited spectrum (``FieldSpectrum``, e.g. the source from
-``beams.source_spectrum``) takes its first step as a ``launch``: the
-spectrum's box of bins times H and one inverse FFT, with no forward FFT,
-into a new grid.  The launch gathers its box of H (195^2 bins at 1024^2)
+bits, and a run imports no scipy module.  A step, or ``apply_mask``,
+runs in a new grid into which ``_target`` copies the field, which is never
+written, or, with ``in_place=True``, in the field's own grid with no copy.
+``propagate_to`` steps in place from its second step on, since those
+fields are its own, and the runners (``scenario.run_scenario``,
+``scenario._run_order``) pass ``in_place=True`` for the beams they own, so
+a walk holds one grid per beam.  A walk that starts from a band-limited
+spectrum (``FieldSpectrum``, e.g. the source from ``beams.source_spectrum``)
+takes its first step as a ``launch``: the spectrum's box of bins times H
+and one inverse FFT, with no forward FFT, into a new grid, whatever
+``in_place`` says.  The launch gathers its box of H (195^2 bins at 1024^2)
 from the held quadrant of its key, as a step reads it.  The inverse
 (``_inverse``) scatters the box into the new grid, which is zeroed, and
 runs the inverse along the columns only on the box's columns, each run of
@@ -128,28 +128,21 @@ def _grid(side: int, new=np.zeros) -> np.ndarray:
     return new((side, side + _GRID_PAD), dtype=np.complex128)[:, :side]
 
 
-def _target(samples: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """The grid a step or a mask writes: ``out``, which must be
-    ``samples``, or, for ``out=None``, a new grid holding a copy of
-    ``samples``, written once on the calling thread with no memset before
-    it (its padding columns, never read, are left as they come)."""
-    if out is None:
-        grid = _grid(samples.shape[0], np.empty)
-        grid[...] = samples
-        return grid
-    if out is not samples:
-        raise GeometryError("out must be None or the field's own samples")
-    return out
+def _target(samples: np.ndarray, in_place: bool) -> np.ndarray:
+    """The grid a step or a mask writes: ``samples`` itself if
+    ``in_place``, else a new grid holding a copy of ``samples``, written
+    once on the calling thread with no memset before it (its padding
+    columns, never read, are left as they come)."""
+    if in_place:
+        return samples
+    grid = _grid(samples.shape[0], np.empty)
+    grid[...] = samples
+    return grid
 
 
 def _band_limit(extent: float, wavelength: float, dz: float) -> float:
     dfreq = 1.0 / extent
     return 1.0 / (math.sqrt((2.0 * dfreq * dz) ** 2 + 1.0) * wavelength)
-
-
-def _frequencies(side: int, extent: float) -> np.ndarray:
-    """The FFT frequencies of bins 0..side//2 of an axis."""
-    return np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
 
 
 def _transfer_block(fy: np.ndarray, fx: np.ndarray, extent: float,
@@ -185,7 +178,7 @@ def _transfer_function(side: int, extent: float, wavelength: float,
     magnitude, bit for bit, and H depends on each axis only through fx^2 and
     |fx|.  So the quadrant, read at ``min(i, side - i)`` on each axis,
     equals the full-grid build element for element."""
-    fx = _frequencies(side, extent)
+    fx = np.fft.fftfreq(side, d=extent / side)[:side // 2 + 1]
     transfer = np.empty((len(fx), len(fx)), dtype=np.complex128)
 
     def work(lo, hi):
@@ -244,8 +237,8 @@ def _require_step(dz: float) -> None:
         raise GeometryError(f"dz must be positive and finite, got {dz!r}")
 
 
-def propagate(field: ScalarField, dz: float, out: np.ndarray | None = None,
-              *, _margin: float = 0.0, _rows=None) -> ScalarField:
+def propagate(field: ScalarField, dz: float, in_place: bool = False, *,
+              _margin: float = 0.0, _rows=None) -> ScalarField:
     """Field at z + dz via the band-limited angular-spectrum method: the
     2-D FFT, times H, and the inverse 2-D FFT, in four FFT passes, each
     split over the cores (``_split``): the forward FFT on column ranges
@@ -253,13 +246,13 @@ def propagate(field: ScalarField, dz: float, out: np.ndarray | None = None,
     the inverse FFT on column ranges (``_columns``), then on row ranges
     (``_inverse_rows``, with ``propagate_to``'s taper and rows).
 
-    ``out`` is None, for a new grid that ``_target`` fills with a copy of
-    the field before the passes, or ``field.samples``, which steps the
-    field in its own grid and holds no field if the step raises.
+    The passes run in a new grid that ``_target`` fills with a copy of the
+    field, or, if ``in_place``, in the field's own grid, which then holds
+    no field if the step raises.
     """
     _require_step(dz)
     transfer = _transfer(field.side, field.extent, field.wavelength, dz)
-    grid = _target(field.samples, out)
+    grid = _target(field.samples, in_place)
 
     def forward_rows(lo, hi):
         rows = grid[lo:hi]
@@ -366,20 +359,21 @@ def _inverse(spectrum: FieldSpectrum, values: np.ndarray, dz: float,
 
 def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
                  max_step: float = 10.0, edge_margin: float = 0.0,
-                 out: np.ndarray | None = None, *, _rows=None) -> ScalarField:
+                 in_place: bool = False, *, _rows=None) -> ScalarField:
     """Propagate to an absolute plane, splitting into steps of at most
     ``max_step``.  ``edge_margin`` in [0, 0.5] applies, if > 0, a soft
     absorbing taper over that outer fraction of the grid in every step
     (suppresses wrap-around on long hops at the cost of strict power
     conservation).  From a ``FieldSpectrum`` the first step is its
-    ``launch``, into a new grid.
+    ``launch``, into a new grid, whatever ``in_place`` says: a spectrum has
+    no grid to overwrite.
 
-    The first step of a ``ScalarField`` writes ``out`` as ``propagate``
+    The first step of a ``ScalarField`` takes ``in_place`` as ``propagate``
     does; every later step runs in the grid of the step before.  So without
-    ``out`` the field passed in is never written, and with
-    ``out=field.samples`` the steps hold no grid but the field's.  A last
-    step that is a ``propagate`` finishes only ``sample_at``'s ``_rows``
-    unless they are None; a launch finishes every row."""
+    ``in_place`` the field passed in is never written, and with it the
+    steps hold no grid but the field's.  A last step that is a
+    ``propagate`` finishes only ``sample_at``'s ``_rows`` unless they are
+    None; a launch finishes every row."""
     dz_total = z_target - field.z_position
     if not 0 < dz_total < math.inf:
         raise GeometryError("target plane must lie a finite distance beyond "
@@ -390,9 +384,6 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
     if not 0 <= edge_margin <= 0.5:
         raise GeometryError(f"edge_margin must lie in [0, 0.5], got "
                             f"{edge_margin!r}")
-    if out is not None and isinstance(field, FieldSpectrum):
-        raise GeometryError("a launch from a spectrum writes a new grid; "
-                            "out takes a sampled field's grid")
     n_steps = max(1, math.ceil(dz_total / max_step))
     step = dz_total / n_steps
     beam = field
@@ -400,9 +391,9 @@ def propagate_to(field: ScalarField | FieldSpectrum, z_target: float,
         if isinstance(beam, FieldSpectrum):
             beam = launch(beam, step, _margin=edge_margin)
         else:
-            beam = propagate(beam, step, out=out, _margin=edge_margin,
+            beam = propagate(beam, step, in_place, _margin=edge_margin,
                              _rows=_rows if i == n_steps - 1 else None)
-        out = beam.samples
+        in_place = True
     return beam
 
 
@@ -435,8 +426,12 @@ class ObstructionMask:
     def __post_init__(self):
         if self.shape not in ("disk", "rectangle"):
             raise GeometryError(f"unknown mask shape '{self.shape}'")
-        if any(s <= 0 for s in self.size):
-            raise GeometryError("mask size must be positive")
+        if not all(0 < s < math.inf for s in self.size):
+            raise GeometryError(f"mask size must be positive and finite, "
+                                f"got {self.size!r}")
+        if not all(-math.inf < v < math.inf for v in
+                   (self.center_x, self.center_y, self.z_position)):
+            raise GeometryError("mask centre and z must be finite")
         if self.shape == "disk" and len(self.size) != 1:
             raise GeometryError("disk mask takes (diameter,)")
         if self.shape == "rectangle" and len(self.size) != 2:
@@ -470,20 +465,19 @@ class ObstructionMask:
 
 
 def apply_mask(field: ScalarField, mask: ObstructionMask,
-               out: np.ndarray | None = None) -> ScalarField:
+               in_place: bool = False) -> ScalarField:
     """Pointwise multiply the field by the mask's transmittance map; the
     mask's plane must be the field's to within 1e-9 m.
 
     The map is built only over the box of rows and columns the shape
     reaches, and multiplied only where it is not 1: samples where the map is
     1 keep the input's bits, signed zeros included, and the rest are input
-    times map.  ``out`` is None, for a new grid that ``_target`` fills with
-    a copy of the samples, or ``field.samples``, which masks the field in
-    place."""
+    times map, in a new grid that ``_target`` fills with a copy of the
+    samples, or, if ``in_place``, in the field's own grid."""
     if abs(mask.z_position - field.z_position) > 1e-9:
         raise PlaneMismatchError(
             f"mask at z={mask.z_position} but field at z={field.z_position}")
-    grid = _target(field.samples, out)
+    grid = _target(field.samples, in_place)
     c = field.coords()
     dx, dy = c - mask.center_x, c - mask.center_y
     cols, rows = (np.flatnonzero(span) for span in mask._spans(dx, dy))
@@ -506,12 +500,13 @@ def sample_points(field: ScalarField, points) -> np.ndarray:
 
 def sample_at(field: ScalarField | FieldSpectrum, z_target: float, points,
               max_step: float = 10.0, edge_margin: float = 0.0,
-              out: np.ndarray | None = None) -> np.ndarray:
+              in_place: bool = False) -> np.ndarray:
     """``sample_points(propagate_to(field, z_target, max_step, edge_margin,
-    out), points)``, bit for bit, but a last step that is a ``propagate``
-    finishes, on the calling thread, only the rows the points read; no field
-    of that unfinished grid (with ``out``, the field's own) is returned."""
+    in_place), points)``, bit for bit, but a last step that is a
+    ``propagate`` finishes, on the calling thread, only the rows the points
+    read; no field of that unfinished grid (with ``in_place``, the field's
+    own) is returned."""
     r0 = cell_corners(field.side, field.extent / field.side, points)[0]
     rows = (int(r0.min()), int(r0.max()) + 2) if r0.size else (0, 0)
     return sample_points(propagate_to(field, z_target, max_step, edge_margin,
-                                      out, _rows=rows), points)
+                                      in_place, _rows=rows), points)

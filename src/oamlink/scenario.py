@@ -379,13 +379,13 @@ def _unit_scale(h: np.ndarray, order_l: int) -> float:
 def run_scenario(s: Scenario, dump_dir: Path | None = None) -> ScenarioResult:
     """End-to-end run: the field from the ring to the receiver plane, then
     the receive chain.  The one beam is launched to the mask, masked and
-    stepped on to the receiver in the one grid its launch made (``out``);
-    without ``dump_dir`` the last step finishes the receiver's rows alone
-    (``sample_at``).  With it, each plane is written there as the beam
-    passes it: ``source.oamf`` before the launch, ``obstruction_plane.oamf``
-    once masked (obstructed runs only) and ``receiver_plane.oamf`` after the
-    full last step, so no field is held beside the beam.  A run that fails
-    keeps the snapshots it wrote."""
+    stepped on to the receiver in the one grid its launch made
+    (``in_place``); without ``dump_dir`` the last step finishes the
+    receiver's rows alone (``sample_at``).  With it, each plane is written
+    there as the beam passes it: ``source.oamf`` before the launch,
+    ``obstruction_plane.oamf`` once masked (obstructed runs only) and
+    ``receiver_plane.oamf`` after the full last step, so no field is held
+    beside the beam.  A run that fails keeps the snapshots it wrote."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     mask = s.obstruction
@@ -397,15 +397,15 @@ def run_scenario(s: Scenario, dump_dir: Path | None = None) -> ScenarioResult:
     with _stage("propagation"):
         if mask is not None:
             beam = propagate_to(beam, mask.z_position, max_step, margin)
-            beam = apply_mask(beam, mask, out=beam.samples)
+            beam = apply_mask(beam, mask, in_place=True)
             if dump_dir is not None:
                 write_field(beam, dump_dir / "obstruction_plane.oamf")
         z = cfg["link"]["distance_m"]
-        out = None if mask is None else beam.samples
         if dump_dir is None:
-            h_raw = sample_at(beam, z, positions, max_step, margin, out)
+            h_raw = sample_at(beam, z, positions, max_step, margin,
+                              in_place=True)
         else:
-            beam = propagate_to(beam, z, max_step, margin, out)
+            beam = propagate_to(beam, z, max_step, margin, in_place=True)
             write_field(beam, dump_dir / "receiver_plane.oamf")
             with _stage("sampling"):
                 h_raw = sample_points(beam, positions)
@@ -509,9 +509,9 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     analysis planes, sharing the launch to the mask, with the healing curve
     on the way; then their channels at the last plane, equalized, through
     the receive chain.  From the mask, where the obstructed beam is split
-    off as a masked copy, each beam steps in its own grid (``out``), the
-    clear one first.  The last-plane fields go to ``dump_dir`` unless it is
-    None.  Returns the order's report entry and the (channel, correlation
+    off as a masked copy, each beam steps in its own grid (``in_place``),
+    the clear one first.  The last-plane fields go to ``dump_dir`` unless it
+    is None.  Returns the order's report entry and the (channel, correlation
     traces) pairs of the clear and obstructed runs at the first noise
     seed."""
     grid, rx = cfg["grid"], cfg["rx"]
@@ -525,10 +525,9 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
             obst = apply_mask(clear, mask)
         for z in z_samples:
             # the first hop from the source is its launch, into a new grid
-            out = None if isinstance(clear, FieldSpectrum) else clear.samples
-            clear = propagate_to(clear, z, max_step, margin, out)
+            clear = propagate_to(clear, z, max_step, margin, in_place=True)
             if obst is not None:
-                obst = propagate_to(obst, z, max_step, margin, obst.samples)
+                obst = propagate_to(obst, z, max_step, margin, in_place=True)
             with _stage("sampling"):
                 curve.add(z, clear, obst, l, radius)
     with _stage("sampling"):
@@ -585,10 +584,21 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
     return entry, traces
 
 
+def report_json(report: dict) -> str:
+    """``report`` as strict JSON, indented, keys sorted: a non-finite float
+    is written as its str, "inf", "-inf" or "nan"."""
+    def strict(v):
+        if isinstance(v, dict):
+            return {k: strict(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [strict(x) for x in v]
+        return str(v) if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(strict(report), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
 def write_report(report: dict, path):
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(report_json(report) + "\n")
 
 
 def write_healing_csv(report: dict, path):

@@ -61,6 +61,17 @@ def test_non_finite_geometry_is_rejected(extent, z, lam):
         FieldSpectrum(np.zeros((2, 2)), np.arange(2), 64, extent, z, lam)
 
 
+@pytest.mark.parametrize("bins", [
+    np.array([1, 1]),          # a column inverse-transformed twice
+    np.array([-1, 2]),         # a column left untransformed along axis 0
+    np.array([0, 64]),         # past the last bin
+    np.array([0.5, 2.0])])     # not integers
+def test_spectrum_bins_must_be_distinct_integers_on_the_axis(bins):
+    with pytest.raises(GeometryError):
+        FieldSpectrum(np.zeros((2, 2), dtype=complex), bins, 64, 1.0, 0.0,
+                      0.01)
+
+
 def test_snapshot_with_non_finite_geometry_is_rejected(tmp_path):
     # a header of spacing NaN, z inf and wavelength NaN was read as a field;
     # each alone is rejected, naming the path

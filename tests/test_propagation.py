@@ -373,10 +373,10 @@ def test_fft_worker_count_leaves_output_bit_identical(monkeypatch):
                 propagate_to(field, 14.0, max_step=2.0,
                              edge_margin=0.5).samples,
                 apply_mask(field, mask).samples,
-                propagate(mine[0], 10.0, out=mine[0].samples).samples,
+                propagate(mine[0], 10.0, in_place=True).samples,
                 propagate_to(mine[1], 14.0, max_step=2.0, edge_margin=0.5,
-                             out=mine[1].samples).samples,
-                apply_mask(mine[2], mask, out=mine[2].samples).samples]
+                             in_place=True).samples,
+                apply_mask(mine[2], mask, in_place=True).samples]
             # every count built its own quadrants, split over its cores
             assert [key[-1] for key in built] == [10.0, 2.0, 10.0, 2.0]
             # the steps wrote none of their inputs
@@ -470,12 +470,12 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
     field.samples[r, k - 2:k + 3].real = [0.0, -0.0, 0.0, -0.0, -0.0]
     field.samples[r, k - 2:k + 3].imag = [0.0, 0.0, -0.0, -0.0, -1.5]
     before = field.samples.copy()
-    calls = [lambda f, **out: propagate(f, 4.0, **out),
-             lambda f, **out: propagate_to(f, 30.0, edge_margin=0.05, **out)]
+    calls = [lambda f, **kw: propagate(f, 4.0, **kw),
+             lambda f, **kw: propagate_to(f, 30.0, edge_margin=0.05, **kw)]
     for mask in (ObstructionMask("rectangle", 0.0, -0.5, (1.2, 1.6), 10.0),
                  ObstructionMask("disk", 5.8, -5.8, (1.0,), 10.0, 0.25),
                  ObstructionMask("disk", 9.0, 0.0, (1.0,), 10.0)):
-        calls.append(lambda f, mask=mask, **out: apply_mask(f, mask, **out))
+        calls.append(lambda f, mask=mask, **kw: apply_mask(f, mask, **kw))
         t = mask.transmittance_map(field)
         assert np.array_equal(_bits(apply_mask(field, mask).samples),
                               _bits(np.where(t != 1, before * t, before)))
@@ -484,10 +484,10 @@ def test_out_writes_the_given_grid_with_the_bits_of_a_copy(side):
         # in the field's own grid: no copy, the field's samples replaced
         mine = _own(field)
         grid = mine.samples
-        stepped = call(mine, out=grid)
+        stepped = call(mine, in_place=True)
         assert stepped.samples is grid
         assert np.array_equal(_bits(grid), _bits(ref))
-        # without out the field is not written
+        # without in_place the field is not written
         assert np.array_equal(_bits(field.samples), _bits(before))
 
 
@@ -519,7 +519,7 @@ def test_a_mask_that_changes_no_sample_keeps_the_inputs_bits(side):
         assert masked.samples is not field.samples
         assert np.array_equal(_bits(masked.samples), _bits(before))
         mine = _own(field)
-        assert apply_mask(mine, mask, out=mine.samples).samples \
+        assert apply_mask(mine, mask, in_place=True).samples \
             is mine.samples
         assert np.array_equal(_bits(mine.samples), _bits(before))
         assert np.array_equal(_bits(field.samples), _bits(before))
@@ -535,7 +535,7 @@ def test_an_in_place_mask_writes_only_the_samples_inside_its_shape():
                  ObstructionMask("disk", -6.0, 0.0, (1.5,), 10.0, 0.25),
                  ObstructionMask("disk", 0.0, 0.0, (2.0,), 10.0, 0.5)):
         mine = _own(field)
-        apply_mask(mine, mask, out=mine.samples)
+        apply_mask(mine, mask, in_place=True)
         outside = mask.transmittance_map(field) == 1
         assert 0 < np.count_nonzero(~outside) < outside.size
         assert np.array_equal(_bits(mine.samples[outside]),
@@ -546,29 +546,22 @@ def test_an_in_place_mask_writes_only_the_samples_inside_its_shape():
             _bits(before[~outside] * mask.transmittance))
 
 
-def test_out_must_be_the_fields_own_samples():
-    f = _own(_bandlimited_field())
-    before = f.samples.copy()
-    mask = ObstructionMask("disk", 0.1, 0.0, (0.2,), 0.0)
-    for out in (np.empty((32, 32), dtype=complex),
-                np.empty((64, 64), dtype=np.complex64),
-                np.empty((64, 64), dtype=complex),   # a separate grid
-                f.samples.copy(),                # equal, but not the samples
-                f.samples[:],                    # a view of all of them
-                f.samples[::-1],                 # overlaps the samples
-                f.samples.base[:, 1:65]):        # shifted by one column
-        with pytest.raises(GeometryError):
-            propagate(f, 0.5, out=out)
-        with pytest.raises(GeometryError):
-            propagate_to(f, 0.5, out=out)
-        with pytest.raises(GeometryError):
-            apply_mask(f, mask, out=out)
-        assert np.array_equal(_bits(f.samples), _bits(before))
-    # a launch writes a new grid: out takes a sampled field's grid only
-    spectrum = source_spectrum(SourceRing(0.149, 238, 2), 64, 12.0, 0.0107,
-                               math.radians(5.0))
-    with pytest.raises(GeometryError):
-        propagate_to(spectrum, 10.0, out=propagation._grid(64))
+def test_a_spectrum_launches_into_a_new_grid_whatever_in_place_says():
+    # a spectrum has no grid to overwrite: in_place gives the same bits and
+    # leaves its values as they were
+    spectrum = _ring_spectrum(64)
+    values = spectrum.values.copy()
+    points = [[0.5, -0.25], [-2.0, 1.0]]
+    for margin in (0.0, 0.05):
+        assert np.array_equal(
+            _bits(propagate_to(spectrum, 30.0, 10.0, margin,
+                               in_place=True).samples),
+            _bits(propagate_to(spectrum, 30.0, 10.0, margin).samples))
+        assert np.array_equal(
+            _bits(sample_at(spectrum, 30.0, points, 10.0, margin,
+                            in_place=True)),
+            _bits(sample_at(spectrum, 30.0, points, 10.0, margin)))
+        assert np.array_equal(_bits(spectrum.values), _bits(values))
 
 
 def test_threads_that_miss_a_key_together_build_it_once(monkeypatch):
@@ -729,8 +722,9 @@ def test_grid_rows_are_an_odd_number_of_cache_lines(side):
 
 @pytest.mark.parametrize("side", [64, 1024])
 def test_a_step_or_mask_without_out_copies_into_a_padded_grid(side):
-    # out=None: the copy goes to a grid with _grid's row stride, which holds
-    # no memory of the field's, whether the field's grid is padded or not
+    # not in place: the copy goes to a grid with _grid's row stride, which
+    # holds no memory of the field's, whether the field's grid is padded or
+    # not
     field = _bandlimited_field(side)
     mask = ObstructionMask("disk", 0.1, 0.0, (0.2,), 0.0)
     for f in (field, _own(field)):
@@ -752,6 +746,22 @@ def test_mask_validation():
         ObstructionMask("disk", 0, 0, (-1.0,), 10.0)
     with pytest.raises(GeometryError):
         ObstructionMask("disk", 0, 0, (1.0,), 10.0, transmittance=1.5)
+
+
+@pytest.mark.parametrize("shape, cx, cy, size, z", [
+    ("disk", 0.0, 0.0, (1.0,), math.nan),
+    ("disk", 0.0, 0.0, (1.0,), math.inf),
+    ("disk", math.nan, 0.0, (1.0,), 5.0),
+    ("disk", 0.0, -math.inf, (1.0,), 5.0),
+    ("disk", 0.0, 0.0, (math.nan,), 5.0),
+    ("disk", 0.0, 0.0, (math.inf,), 5.0),
+    ("rectangle", 0.0, 0.0, (1.0, math.nan), 5.0),
+    ("rectangle", 0.0, 0.0, (math.inf, 1.0), 5.0)])
+def test_non_finite_mask_geometry_is_rejected(shape, cx, cy, size, z):
+    # a NaN plane would pass apply_mask's plane check (|nan - z| > 1e-9 is
+    # False), and a NaN size or centre would block nothing
+    with pytest.raises(GeometryError):
+        ObstructionMask(shape, cx, cy, size, z)
 
 
 def test_mask_geometry_and_plane_check():
@@ -881,7 +891,7 @@ def test_sample_at_has_the_bits_of_the_finished_field(side, cores,
             assert np.array_equal(field.samples, samples)   # never written
             own = _own(field)
             got = sample_at(own, 30.0, points, 10.0, margin,
-                            out=own.samples)
+                            in_place=True)
             assert np.array_equal(_bits(got), _bits(expected))   # z = 30 m
     with pytest.raises(OutOfExtentError):
         sample_at(field, 30.0, [[0.0, 6.0]])

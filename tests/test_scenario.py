@@ -671,6 +671,20 @@ def test_experiment_outputs_and_determinism(tmp_path):
     assert header == "mode,z_m,similarity,mode_purity"
 
 
+def test_a_noiseless_report_is_strict_json(tmp_path):
+    # a noiseless run's config echo holds snr_db = inf, which strict JSON
+    # has no number for
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON value {constant}")
+
+    cfg = validate_config({"grid": {"side": 64}})
+    cfg["rx"]["snr_db"] = math.inf
+    run_experiment(cfg, out_dir=tmp_path)
+    with open(tmp_path / "report.json") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    assert report["config"]["rx"]["snr_db"] == "inf"
+
+
 def test_experiment_dumps_every_orders_fields_without_out_dir(tmp_path):
     # dump_dir alone: each order's last-plane fields, and no report
     run_experiment(_small_cfg(), dump_dir=tmp_path)
