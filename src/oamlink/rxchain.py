@@ -1,8 +1,11 @@
 """Baseband receive chain: pilot generation, flat-fading channel with
 additive noise, pilot correlation, least-squares channel estimation,
-maximal-ratio combining and link metrics.  It makes no BLAS call (the
-correlation runs on ``numpy.fft``, the sums are numpy's), so its bits do
-not depend on the BLAS thread count.
+maximal-ratio combining and link metrics.  It works on the antenna array:
+the received streams are one (antennas x samples) array from the channel
+through correlation, estimation and combining, and each quantity is
+computed once per ``receive`` (the pilot's stream and energy once per
+pilot).  It makes no BLAS call (the correlation runs on ``numpy.fft``, the
+sums are numpy's), so its bits do not depend on the BLAS thread count.
 
 The channel per antenna is a single complex gain taken from the sampled
 field (frequency-flat: 20 MHz over a 50 m line-of-sight hop gives
@@ -27,21 +30,15 @@ _ALPHABET = (1.0 + 1.0j, -1.0 - 1.0j)
 
 @dataclass(frozen=True)
 class PilotSignal:
-    """Pseudo-random two-point pilot, reproducible from its seed."""
+    """Pseudo-random two-point pilot, reproducible from its seed, with its
+    symbol stream oversampled by rectangular hold (``samples``, read-only:
+    every caller shares it) and that stream's energy sum |samples|^2, exact
+    for the pilot's alphabet in any order.  ``generate_pilot`` sets both."""
 
     symbols: np.ndarray
     seed: int
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Symbol stream oversampled by rectangular hold."""
-        return np.repeat(self.symbols, OVERSAMPLE)
-
-    @property
-    def energy(self) -> float:
-        """sum |samples|^2, exact for the pilot's alphabet in any order."""
-        p = self.samples
-        return float(np.sum(p.real ** 2 + p.imag ** 2))
+    samples: np.ndarray
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,12 @@ def generate_pilot(seed: int, num_symbols: int) -> PilotSignal:
         raise GeometryError(f"pilot needs at least {MIN_PILOT_SYMBOLS} symbols")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=num_symbols)
-    symbols = np.where(bits == 0, _ALPHABET[0], _ALPHABET[1])
-    return PilotSignal(symbols=symbols.astype(np.complex128), seed=int(seed))
+    symbols = np.where(bits == 0, *_ALPHABET).astype(np.complex128)
+    samples = np.repeat(symbols, OVERSAMPLE)
+    samples.flags.writeable = False
+    return PilotSignal(symbols=symbols, seed=int(seed), samples=samples,
+                       energy=float(np.sum(samples.real ** 2
+                                           + samples.imag ** 2)))
 
 
 def noise_sigma(snr_db: float) -> float:
@@ -126,42 +127,41 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _pilot_spectrum(pilot: PilotSignal, size: int) -> np.ndarray:
-    """The pilot's conjugate spectrum over ``_smooth_length(size)``."""
-    return np.conj(np.fft.fft(pilot.samples, _smooth_length(size)))
+def correlate_pilot(streams: np.ndarray, pilot: PilotSignal) -> list:
+    """Normalized cross-correlation magnitude of each row of ``streams``
+    (antennas x samples, as ``apply_channel`` returns them) against the
+    pilot: one ``CorrelationTrace`` per row.
 
-
-def correlate_pilot(stream: np.ndarray, pilot: PilotSignal, *,
-                    _spectrum: np.ndarray | None = None) -> CorrelationTrace:
-    """Normalized cross-correlation magnitude of a stream against the pilot.
-
-    Lag l compares stream[l : l+Np] with the pilot; normalization uses the
-    sliding-window stream energy so an attenuated, delayed copy still peaks
+    Lag l compares row[l : l+Np] with the pilot; normalization uses the
+    sliding-window row energy so an attenuated, delayed copy still peaks
     at height 1.  The complex gain at the peak is reported separately.
     <s[l:l+Np], p> is a circular correlation by FFTs over the least
-    2*3*5-smooth length at or past the stream's, which no valid lag wraps:
-    the direct sum to a few ulp of the peak.  ``_spectrum`` is the pilot's
-    (``_pilot_spectrum``) for streams of this length, which ``receive``
-    computes once for all its antennas."""
-    p = pilot.samples
-    s = np.asarray(stream)
-    if s.size < p.size:
+    2*3*5-smooth length at or past the rows', which no valid lag wraps:
+    the direct sum to a few ulp of the peak.  The pilot's conjugate
+    spectrum is taken once for all rows, and each row's trace has the bits
+    of that row correlated alone."""
+    p, s = pilot.samples, np.asarray(streams)
+    if s.ndim != 2:
+        raise GeometryError("streams must be an (antennas x samples) array")
+    if s.shape[1] < p.size:
         raise GeometryError("stream shorter than the pilot")
-    if _spectrum is None:
-        _spectrum = _pilot_spectrum(pilot, s.size)
-    n_lags = s.size - p.size + 1
-    full = np.fft.ifft(np.fft.fft(s, _spectrum.size) * _spectrum)[:n_lags]
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(s) ** 2)])
-    win = energy[p.size:] - energy[:n_lags]
+    size = _smooth_length(s.shape[1])
+    n_lags = s.shape[1] - p.size + 1
+    spectra = np.fft.fft(s, size)
+    spectra *= np.conj(np.fft.fft(p, size))
+    full = np.fft.ifft(spectra, out=spectra)[:, :n_lags]
+    energy = np.zeros((s.shape[0], s.shape[1] + 1))
+    np.cumsum(np.abs(s) ** 2, axis=1, out=energy[:, 1:])
+    win = energy[:, p.size:] - energy[:, :n_lags]
     norm_p = np.sqrt(pilot.energy)
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.abs(full) / (norm_p * np.sqrt(win))
     mag[~np.isfinite(mag)] = 0.0
-    peak = int(np.argmax(mag))
-    gain = full[peak] / norm_p ** 2
-    return CorrelationTrace(lags=np.arange(n_lags), magnitude=mag,
-                            peak_lag=peak, peak_height=float(mag[peak]),
-                            gain=complex(gain))
+    lags = np.arange(n_lags)
+    return [CorrelationTrace(lags=lags, magnitude=m, peak_lag=int(k),
+                             peak_height=float(m[k]),
+                             gain=complex(f[k] / norm_p ** 2))
+            for m, f, k in zip(mag, full, np.argmax(mag, axis=1))]
 
 
 def estimate_channel(streams: np.ndarray, pilot: PilotSignal,
@@ -207,33 +207,30 @@ def evm_percent(symbols: np.ndarray, reference: np.ndarray | None = None) -> flo
 def wrap_degrees(angle_deg):
     """Wrap angles to (-180, 180]."""
     a = np.asarray(angle_deg, dtype=float)
-    wrapped = -(np.mod(-a + 180.0, 360.0) - 180.0)
-    return wrapped
+    return -(np.mod(-a + 180.0, 360.0) - 180.0)
 
 
 def receive(chan: ChannelSnapshot, pilot: PilotSignal, snr_db: float,
             noise_seed: int = 0, guard_samples: int = 0) -> tuple:
-    """Full receive pass: channel + noise, correlate, align, estimate,
-    combine.
+    """Full receive pass on the antenna array: channel + noise, one
+    correlation of all the streams, alignment, estimation, combining.
 
     Returns (per-antenna CorrelationTraces of the received streams,
     estimated ChannelSnapshot, MetricsReport).
     """
+    p = pilot.samples
     streams = apply_channel(pilot, chan, snr_db, noise_seed, guard_samples)
-    spectrum = _pilot_spectrum(pilot, streams.shape[1])
-    traces = [correlate_pilot(s, pilot, _spectrum=spectrum) for s in streams]
+    traces = correlate_pilot(streams, pilot)
     # Align on the strongest antenna's correlation peak (the array shares a
     # common timebase).
-    best = max(traces, key=lambda t: t.peak_height)
-    lag = best.peak_lag
-    streams = streams[:, lag:lag + pilot.samples.size]
+    lag = max(traces, key=lambda t: t.peak_height).peak_lag
+    streams = streams[:, lag:lag + p.size]
     est = estimate_channel(streams, pilot, chan.scenario_label, chan.mode)
     combined = mrc_combine(streams, est)
     syms = to_symbols(combined)
     evm = evm_percent(syms, pilot.symbols)
 
-    es = float(np.mean(np.abs(pilot.samples) ** 2))
-    p = pilot.samples
+    es = float(np.mean(np.abs(p) ** 2))
     per_ant_power = np.abs(est.h) ** 2 * es
     resid = streams - est.h[:, None] * p[None, :]
     noise_power = float(np.mean(np.abs(resid) ** 2))

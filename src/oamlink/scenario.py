@@ -189,7 +189,8 @@ def validate_config(cfg: dict) -> dict:
     passes: each value given against the type of its default, as it is
     merged; then the single-field rules of ``_RULES``; then the rules that
     tie fields together.  The first rule broken raises a ``ConfigError``
-    naming its field."""
+    naming its field.  ``rx.snr_db`` may be "inf", the form a report's
+    config echo gives +inf, so that echo loads back as a config."""
     if cfg is not None and not isinstance(cfg, dict):
         raise ConfigError("(top level)", f"expected an object of config "
                                          f"sections, got {type(cfg).__name__}")
@@ -212,6 +213,8 @@ def validate_config(cfg: dict) -> dict:
                 deep_merge(default, value, path + ".")
                 continue
             elif default is not None:
+                if path == "rx.snr_db" and value == "inf":
+                    value = math.inf   # as report_json writes it
                 _check_type(path, value, default)
             base[key] = value
 
@@ -385,7 +388,9 @@ def run_scenario(s: Scenario, dump_dir: Path | None = None) -> ScenarioResult:
     there as the beam passes it: ``source.oamf`` before the launch,
     ``obstruction_plane.oamf`` once masked (obstructed runs only) and
     ``receiver_plane.oamf`` after the full last step, so no field is held
-    beside the beam.  A run that fails keeps the snapshots it wrote."""
+    beside the beam.  The beam is dropped before the receive chain, which
+    runs with no grid alive.  A run that fails keeps the snapshots it
+    wrote."""
     cfg, grid, rx = s.cfg, s.cfg["grid"], s.cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     mask = s.obstruction
@@ -409,6 +414,7 @@ def run_scenario(s: Scenario, dump_dir: Path | None = None) -> ScenarioResult:
             write_field(beam, dump_dir / "receiver_plane.oamf")
             with _stage("sampling"):
                 h_raw = sample_points(beam, positions)
+    del beam   # the receive chain runs with no grid alive
     label = "obstructed" if mask is not None else "clear"
     with _stage("rx_chain"):
         scale = _unit_scale(h_raw, s.order_l) if s.h_scale is None \
@@ -472,7 +478,6 @@ def run_experiment(cfg: dict, out_dir=None, dump_dir=None) -> dict:
     L = cfg["link"]["distance_m"]
     if z_samples[-1] != L:
         z_samples = z_samples + [L]
-    pilot = generate_pilot(cfg["rx"]["pilot_seed"], cfg["rx"]["pilot_symbols"])
     with _stage("link_plan"):
         plan = link_plan(cfg)
 
@@ -492,7 +497,7 @@ def run_experiment(cfg: dict, out_dir=None, dump_dir=None) -> dict:
     traces = []
     for l in modes:
         report["modes"][str(l)], pair = _run_order(cfg, l, mask, z_samples,
-                                                   pilot, dump_dir)
+                                                   dump_dir)
         traces += pair
 
     if out_dir is not None:
@@ -504,16 +509,17 @@ def run_experiment(cfg: dict, out_dir=None, dump_dir=None) -> dict:
     return report
 
 
-def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
+def _run_order(cfg: dict, l: int, mask, z_samples, dump_dir):
     """One order of the matrix: the clear and obstructed beams through the
     analysis planes, sharing the launch to the mask, with the healing curve
     on the way; then their channels at the last plane, equalized, through
     the receive chain.  From the mask, where the obstructed beam is split
     off as a masked copy, each beam steps in its own grid (``in_place``),
     the clear one first.  The last-plane fields go to ``dump_dir`` unless it
-    is None.  Returns the order's report entry and the (channel, correlation
-    traces) pairs of the clear and obstructed runs at the first noise
-    seed."""
+    is None; both beams are then dropped, and the pilot made, so the receive
+    chain runs with no grid alive and the walk holds no pilot.  Returns the
+    order's report entry and the (channel, correlation traces) pairs of the
+    clear and obstructed runs at the first noise seed."""
     grid, rx = cfg["grid"], cfg["rx"]
     max_step, margin = grid["max_step_m"], grid["edge_margin"]
     radius = ring_radius_for(cfg, l)
@@ -541,6 +547,7 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
         write_field(clear, dump_dir / f"field_l{l}_clear_z{clear.z_position:g}.oamf")
         if obst is not None:
             write_field(obst, dump_dir / f"field_l{l}_obstructed_z{obst.z_position:g}.oamf")
+    del clear, obst   # the receive chain runs with no grid alive
 
     with _stage("rx_chain"):
         # Equalize clear-LOS mean |h| across modes to a common unit reference.
@@ -549,6 +556,7 @@ def _run_order(cfg: dict, l: int, mask, z_samples, pilot, dump_dir):
         h_obst = h_obst * scale
         chan_clear = ChannelSnapshot(h_clear, "clear", l)
         chan_obst = ChannelSnapshot(h_obst, "obstructed", l)
+        pilot = generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
         seed_deltas = []
         for i in range(rx["num_noise_seeds"]):
             seed = rx["noise_seed"] + i

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from oamlink import (ObstructionMask, ScalarField, SourceRing, apply_mask,
-                     field_similarity, generate_pilot, propagation,
-                     run_scenario, scenario, scenario_from_config,
-                     source_spectrum, spectrum_field, validate_config)
+                     field_similarity, propagation, run_scenario, scenario,
+                     scenario_from_config, source_spectrum, spectrum_field,
+                     validate_config)
 from oamlink.analysis import HealingCurve, azimuthal_spectrum
 from oamlink.errors import ConfigError, GeometryError, NyquistError
 from oamlink.propagation import propagate_to, sample_points, _GRID_PAD
@@ -193,10 +193,7 @@ def test_similarity_annulus_off_the_grid_has_no_power():
 def _run_order(cfg, planes, l=2):
     """``scenario._run_order`` of order ``l`` of ``cfg`` through ``planes``,
     as ``run_experiment`` calls it; returns the order's report entry."""
-    rx = cfg["rx"]
-    pilot = generate_pilot(rx["pilot_seed"], rx["pilot_symbols"])
-    return scenario._run_order(cfg, l, obstruction_from(cfg), planes, pilot,
-                               None)[0]
+    return scenario._run_order(cfg, l, obstruction_from(cfg), planes, None)[0]
 
 
 def _healing_curve(mask, z_samples):
@@ -363,6 +360,32 @@ def test_runs_hold_one_grid_per_beam(monkeypatch, tmp_path):
     assert _peak_grids(lambda: run_scenario(s), 1024) < 1.2
     assert _peak_grids(lambda: run_scenario(s, dump_dir=tmp_path), 1024) \
         < 1.2
+
+
+def test_the_receive_chain_runs_with_no_grid_alive(monkeypatch):
+    # both runners drop their beams before the receive chain: at the entry
+    # of every receive, what the run has allocated and still holds (the
+    # pilot, the traces of earlier passes) stays below one padded grid.  A
+    # first call fills the held transfer-function quadrant and starts the
+    # helper threads, as in _peak_grids
+    entries, real = [], scenario.receive
+
+    def receive(*args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "receive", receive)
+    cfg = validate_config({"grid": {"side": 256}})
+    s = scenario_from_config(cfg, 2, obstructed=True)
+    for run in (lambda: run_scenario(s), lambda: scenario.run_experiment(cfg)):
+        run()
+        entries.clear()
+        tracemalloc.start()
+        try:
+            run()
+        finally:
+            tracemalloc.stop()
+        assert entries and max(entries) < 256 * (256 + _GRID_PAD) * 16
 
 
 def test_beams_that_miss_a_key_together_build_it_once(monkeypatch):

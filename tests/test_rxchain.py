@@ -31,6 +31,23 @@ def test_rates_and_oversampling():
     assert np.all(pilot.samples[:4] == pilot.symbols[0])
 
 
+def test_pilot_samples_are_built_once_and_shared(monkeypatch):
+    # generate_pilot holds the oversampled stream and its energy; a receive
+    # reads them and builds neither again
+    repeats, repeat = [], np.repeat
+    monkeypatch.setattr(np, "repeat", lambda *args, **kwargs:
+                        repeats.append(args) or repeat(*args, **kwargs))
+    pilot = generate_pilot(1, 1024)
+    chan = ChannelSnapshot(h=np.array([1.0, 0.5j]))
+    receive(chan, pilot, 20.0, noise_seed=3, guard_samples=16)
+    assert len(repeats) == 1
+    assert np.array_equal(pilot.samples, repeat(pilot.symbols, OVERSAMPLE))
+    assert pilot.energy == 2.0 * pilot.samples.size   # |1 + 1j|^2 = 2
+    # every caller shares the stream, so none may write it
+    with pytest.raises(ValueError):
+        pilot.samples[0] = 0.0
+
+
 def test_pilot_determinism_and_alphabet():
     a = generate_pilot(7, 2048)
     b = generate_pilot(7, 2048)
@@ -100,7 +117,7 @@ def test_correlation_peak_lag_height_and_gain():
     stream = 0.01 * (rng.standard_normal(pilot.samples.size + 400)
                      + 1j * rng.standard_normal(pilot.samples.size + 400))
     stream[delay:delay + pilot.samples.size] += h * pilot.samples
-    trace = correlate_pilot(stream, pilot)
+    [trace] = correlate_pilot(stream[None], pilot)
     assert trace.peak_lag == delay
     assert trace.peak_height == pytest.approx(1.0, abs=0.01)
     assert trace.gain == pytest.approx(h, abs=0.005)
@@ -114,11 +131,37 @@ def test_correlation_peak_lag_height_and_gain():
     reference = np.abs(direct) / np.sqrt(pilot.energy * win)
     assert np.max(np.abs(trace.magnitude - reference)) < 1e-14
     # energy normalization: scaling the stream does not move or grow the peak
-    scaled = correlate_pilot(7.0 * stream, pilot)
+    [scaled] = correlate_pilot(7.0 * stream[None], pilot)
     assert scaled.peak_lag == delay
     assert scaled.peak_height == pytest.approx(trace.peak_height, rel=1e-9)
     with pytest.raises(GeometryError):
-        correlate_pilot(stream[:100], pilot)
+        correlate_pilot(stream[None, :100], pilot)
+
+
+def test_correlation_takes_the_antenna_array():
+    # each row of a (rows x samples) array peaks at its own lag, with
+    # height 1 and its own gain; a row of zeros has no correlation, and no
+    # NaN either
+    pilot = generate_pilot(5, 1024)
+    delays, gains = [0, 150, 400], [1.0, 0.25 * np.exp(1j * 0.8), -3.0j]
+    streams = np.zeros((4, pilot.samples.size + 400), dtype=complex)
+    for row, delay, h in zip(streams, delays, gains):
+        row[delay:delay + pilot.samples.size] = h * pilot.samples
+    traces = correlate_pilot(streams, pilot)
+    assert len(traces) == 4
+    for trace, delay, h in zip(traces, delays, gains):
+        assert trace.peak_lag == delay
+        assert trace.peak_height == pytest.approx(1.0, rel=1e-12)
+        assert trace.gain == pytest.approx(h, rel=1e-12)
+    zero = traces[3]
+    assert not np.any(np.isnan(zero.magnitude))
+    assert np.all(zero.magnitude == 0.0)
+    assert (zero.peak_lag, zero.peak_height, zero.gain) == (0, 0.0, 0j)
+    # one stream is a row of an array, not a 1-D array; nor is a stack of
+    # arrays
+    for shape in ((streams.shape[1],), (1, 1, streams.shape[1])):
+        with pytest.raises(GeometryError):
+            correlate_pilot(np.ones(shape, dtype=complex), pilot)
 
 
 def test_receive_correlates_over_smooth_lengths_with_one_pilot_spectrum(
@@ -137,17 +180,24 @@ def test_receive_correlates_over_smooth_lengths_with_one_pilot_spectrum(
     pilot = generate_pilot(7, 1024)
     chan = ChannelSnapshot(h=np.array([1.0, 0.5j, -0.5, 0.2 + 0.2j]))
     streams = apply_channel(pilot, chan, 20.0, 1001, 64)
-    built = []
-    spectrum = rxchain._pilot_spectrum
-    monkeypatch.setattr(rxchain, "_pilot_spectrum",
-                        lambda *a: built.append(a) or spectrum(*a))
+    # every FFT the receive chain takes: one of the streams' array and one
+    # of the pilot, padded to the same smooth length
+    taken, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda a, *args: taken.append(np.shape(a))
+                        or fft(a, *args))
     traces = receive(chan, pilot, 20.0, noise_seed=1001, guard_samples=64)[0]
-    assert len(built) == 1
-    # each antenna's trace has the bits of its own correlation
+    monkeypatch.undo()
+    assert sorted(taken) == sorted([(pilot.samples.size,), streams.shape])
+    # each antenna's trace has the bits of its row correlated alone
+    assert len(traces) == len(streams)
     for stream, trace in zip(streams, traces):
-        alone = correlate_pilot(stream, pilot)
-        assert np.array_equal(trace.magnitude, alone.magnitude)
-        assert (trace.peak_lag, trace.gain) == (alone.peak_lag, alone.gain)
+        [alone] = correlate_pilot(stream[None], pilot)
+        assert np.array_equal(trace.magnitude.view(np.uint64),
+                              alone.magnitude.view(np.uint64))
+        assert np.array_equal(trace.lags, alone.lags)
+        assert (trace.peak_lag, trace.peak_height, trace.gain) \
+            == (alone.peak_lag, alone.peak_height, alone.gain)
 
 
 def test_least_squares_estimate_exact_noiseless():

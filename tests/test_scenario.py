@@ -685,6 +685,26 @@ def test_a_noiseless_report_is_strict_json(tmp_path):
     assert report["config"]["rx"]["snr_db"] == "inf"
 
 
+def test_a_noiseless_reports_config_loads_back(tmp_path):
+    # report_json writes snr_db = +inf as "inf"; the config echo loads back
+    # as a config with that value, and no other string passes
+    cfg = validate_config({"grid": {"side": 64}})
+    cfg["rx"]["snr_db"] = math.inf
+    run_experiment(cfg, out_dir=tmp_path)
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    loaded = validate_config(echo)
+    assert loaded["rx"]["snr_db"] == math.inf
+    assert loaded == cfg
+    for text in ("-inf", "nan", "Infinity", "+inf", " inf", "20"):
+        with pytest.raises(ConfigError) as err:
+            validate_config({"rx": {"snr_db": text}})
+        assert err.value.field == "rx.snr_db"
+    # only rx.snr_db may be infinite
+    with pytest.raises(ConfigError) as err:
+        validate_config({"link": {"distance_m": "inf"}})
+    assert err.value.field == "link.distance_m"
+
+
 def test_experiment_dumps_every_orders_fields_without_out_dir(tmp_path):
     # dump_dir alone: each order's last-plane fields, and no report
     run_experiment(_small_cfg(), dump_dir=tmp_path)
