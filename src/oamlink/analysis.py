@@ -70,6 +70,8 @@ def azimuthal_spectrum(field: ScalarField, ring_radius: float, max_mode: int,
         raise GeometryError("ring outside the grid extent")
     ns = num_samples if num_samples is not None else max(
         256, 8 * max_mode, int(np.ceil(2.0 * np.pi * ring_radius / field.spacing)))
+    if ns < 1:
+        raise GeometryError(f"a ring needs at least one sample, got {ns}")
     if ns < 4 * max_mode:
         raise NyquistError(f"{ns} ring samples undersample max mode {max_mode}")
     phi = 2.0 * np.pi * np.arange(ns) / ns

@@ -41,8 +41,9 @@ class SourceRing:
 
     def __post_init__(self):
         check_order(self.order_l)
-        if self.radius_r <= 0:
-            raise GeometryError("ring radius must be positive")
+        if not 0 < self.radius_r < math.inf:
+            raise GeometryError(f"ring radius must be positive and finite, "
+                                f"got {self.radius_r!r}")
         if self.num_elements_N <= 2 * abs(self.order_l):
             raise NyquistError(
                 f"{self.num_elements_N} elements cannot carry order "
@@ -59,8 +60,11 @@ class FarFieldPattern:
 
     def __post_init__(self):
         check_order(self.order_l)
-        if self.radius_r <= 0 or self.wavelength <= 0:
-            raise GeometryError("radius and wavelength must be positive")
+        if not (0 < self.radius_r < math.inf
+                and 0 < self.wavelength < math.inf):
+            raise GeometryError(f"radius and wavelength must be positive and "
+                                f"finite, got {self.radius_r!r} and "
+                                f"{self.wavelength!r}")
 
 
 def far_field(pattern: FarFieldPattern, theta, phi):
@@ -92,8 +96,9 @@ def matched_radius(l_target: int, l_ref: int, r_ref: float) -> float:
     at the same cone angle as order ``l_ref`` radiated from ``r_ref``."""
     if l_target == 0 or l_ref == 0:
         raise GeometryError("order 0 has no off-axis first maximum to match")
-    if r_ref <= 0:
-        raise GeometryError("reference radius must be positive")
+    if not 0 < r_ref < math.inf:
+        raise GeometryError(f"reference radius must be positive and finite, "
+                            f"got {r_ref!r}")
     return r_ref * first_max_abscissa(l_target) / first_max_abscissa(l_ref)
 
 

@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the grid side length")
         p.add_argument("--snr-db", dest="snr_db", type=float, default=None,
                        help="override the configured RX SNR")
+
+    def dump_fields(p):
         p.add_argument("--dump-fields", action="store_true",
                        help="write field snapshots")
 
@@ -113,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a single scenario")
     common(p)
+    dump_fields(p)
     p.add_argument("--mode", type=int, default=2, help="OAM order")
     p.add_argument("--clear", action="store_true",
                    help="run without the obstruction")
@@ -120,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the clear/obstructed matrix")
     common(p)
+    dump_fields(p)
     p.set_defaults(func=cmd_experiment)
     return parser
 

@@ -33,8 +33,9 @@ class LinkBudget:
     def __post_init__(self):
         for name in ("bandwidth_B", "num_modes_K", "link_distance_L",
                      "rx_spacing_d", "digital_if_F", "rf_frequency"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"LinkBudget.{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise GeometryError(f"LinkBudget.{name} must be positive and "
+                                    f"finite")
         if self.bandwidth_B >= self.digital_if_F:
             raise GeometryError("bandwidth_B must be below digital_if_F")
 

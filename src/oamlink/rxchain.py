@@ -14,6 +14,7 @@ sub-nanosecond delay spread across the array).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,18 @@ def generate_pilot(seed: int, num_symbols: int) -> PilotSignal:
 
 def noise_sigma(snr_db: float) -> float:
     """Per-sample complex noise std-dev giving the requested SNR at |h| = 1
-    (0 at +inf)."""
+    (0 at +inf).  Any other SNR whose scale is no finite, positive number
+    raises a ``ChannelError``: NaN, -inf, and values so far from 0 dB that
+    10**(snr_db/10) overflows or underflows to 0."""
     es = float(np.mean(np.abs(np.array(_ALPHABET)) ** 2))  # = 2
-    return np.sqrt(es / 10.0 ** (snr_db / 10.0))
+    try:
+        sigma = np.sqrt(es / 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not (0 < sigma < math.inf or snr_db == math.inf):
+        raise ChannelError(f"snr_db {snr_db!r} gives no finite, positive "
+                           f"noise scale")
+    return sigma
 
 
 def apply_channel(pilot: PilotSignal, chan: ChannelSnapshot, snr_db: float,
@@ -102,6 +112,9 @@ def apply_channel(pilot: PilotSignal, chan: ChannelSnapshot, snr_db: float,
     ``guard_samples`` pads each stream with that many noise-only samples on
     both sides, delaying the pilot so correlation alignment has work to do.
     """
+    if guard_samples < 0:
+        raise GeometryError(f"guard_samples must not be negative, "
+                            f"got {guard_samples}")
     p = pilot.samples
     rng = np.random.default_rng(noise_seed)
     n_ant = len(chan.h)

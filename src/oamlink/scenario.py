@@ -108,15 +108,13 @@ def _positive_number(value) -> bool:
 
 
 def _has_noise_scale(snr_db) -> bool:
-    """+inf is a noiseless run; far from 0 dB, 10**(snr_db/10) underflows
-    to 0 or overflows, and the noise scale is then no positive number."""
-    if snr_db == math.inf:
-        return True
+    """Whether ``noise_sigma`` takes ``snr_db``: +inf, a noiseless run, or
+    an SNR whose noise scale is a finite, positive number."""
     try:
-        sigma = float(noise_sigma(snr_db))
-    except (OverflowError, ZeroDivisionError):
+        noise_sigma(snr_db)
+    except ChannelError:
         return False
-    return math.isfinite(sigma) and sigma > 0
+    return True
 
 
 def _check_type(path: str, value, default) -> None:

@@ -47,8 +47,8 @@ def guide_wavelength_coax(r: float, wavelength: float, l: int) -> float:
 
 def wavevectors_at(R: float, lambda_z: float, l: int) -> WaveVectorTriple:
     """Wave-vector triple at beam radius R for axial wavelength lambda_z."""
-    if R <= 0 or lambda_z <= 0:
-        raise GeometryError("R and lambda_z must be positive")
+    if not (0 < R < math.inf and 0 < lambda_z < math.inf):
+        raise GeometryError("R and lambda_z must be positive and finite")
     k_z = 2.0 * math.pi / lambda_z
     k_T = abs(l) / R
     return WaveVectorTriple(k=math.hypot(k_z, k_T), k_z=k_z, k_T=k_T)
@@ -62,7 +62,7 @@ def beam_radius_at(L: float, l: int, r: float, k: float,
     ``exact=True`` the true first-maximum abscissa of J_|l| is used instead
     (requires |l| >= 1).
     """
-    if L <= 0 or r <= 0 or k <= 0:
-        raise GeometryError("L, r and k must be positive")
+    if not all(0 < v < math.inf for v in (L, r, k)):
+        raise GeometryError("L, r and k must be positive and finite")
     factor = first_max_abscissa(l) if exact else abs(l) + 1.0
     return L * factor / (r * k)

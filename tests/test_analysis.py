@@ -73,6 +73,9 @@ def test_spectrum_validation():
         azimuthal_spectrum(f, -1.0, max_mode=8)
     with pytest.raises(NyquistError):
         azimuthal_spectrum(f, 1.0, max_mode=8, num_samples=16)
+    for ns in (0, -3):   # no ring to transform, whatever the max mode
+        with pytest.raises(GeometryError, match="at least one sample"):
+            azimuthal_spectrum(f, 1.0, max_mode=0, num_samples=ns)
     zero = f.with_samples(np.zeros_like(f.samples))
     with pytest.raises(GeometryError):
         azimuthal_spectrum(zero, 1.0, max_mode=8)

@@ -12,7 +12,9 @@ from oamlink import (FarFieldPattern, SourceRing, cone_angle, far_field,
 from oamlink.analysis import azimuthal_spectrum
 from oamlink.beams import synthesize_source_field
 from oamlink.errors import GeometryError, NyquistError
+from oamlink.link_design import REFERENCE_BUDGET, LinkBudget
 from oamlink.propagation import angular_bandlimit
+from oamlink.wavevector import beam_radius_at, wavevectors_at
 from tests.oracles import source_spectrum_reference
 
 mp.mp.dps = 30
@@ -189,3 +191,35 @@ def test_source_spectrum_guards():
     for bad in (0.0, math.pi / 2):
         with pytest.raises(GeometryError, match="theta_max"):
             source_spectrum(ring, 256, 2.0, 0.010707, bad)
+
+
+_BUDGET = {name: getattr(REFERENCE_BUDGET, name)
+           for name in LinkBudget.__dataclass_fields__}
+# each positive input of a constructor or function, built from x
+_POSITIVE_INPUTS = {
+    "SourceRing.radius_r":
+        lambda x: SourceRing(radius_r=x, num_elements_N=238, order_l=2),
+    "FarFieldPattern.radius_r":
+        lambda x: FarFieldPattern(order_l=2, radius_r=x, wavelength=0.010707),
+    "FarFieldPattern.wavelength":
+        lambda x: FarFieldPattern(order_l=2, radius_r=0.149, wavelength=x),
+    "matched_radius.r_ref": lambda x: matched_radius(4, 2, x),
+    "wavevectors_at.R": lambda x: wavevectors_at(x, 0.010707, 2),
+    "wavevectors_at.lambda_z": lambda x: wavevectors_at(1.0, x, 2),
+    "beam_radius_at.L": lambda x: beam_radius_at(x, 2, 0.149, 587.0),
+    "beam_radius_at.r": lambda x: beam_radius_at(50.0, 2, x, 587.0),
+    "beam_radius_at.k": lambda x: beam_radius_at(50.0, 2, 0.149, x),
+    **{f"LinkBudget.{name}":
+       lambda x, name=name: LinkBudget(**{**_BUDGET, name: x})
+       for name in _BUDGET},
+}
+
+
+@pytest.mark.parametrize("build", _POSITIVE_INPUTS.values(),
+                         ids=_POSITIVE_INPUTS.keys())
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_positive_inputs_must_be_finite(build, x):
+    # NaN fails every comparison, so `x <= 0` lets it through: a NaN-radius
+    # pattern would give far_field nan+nanj
+    with pytest.raises(GeometryError):
+        build(x)

@@ -15,7 +15,7 @@ from oamlink import (ChannelSnapshot, MetricsReport, apply_channel,
                      compute_metrics, correlate_pilot, estimate_channel,
                      evm_percent, generate_pilot, mrc_combine, receive)
 from oamlink import rxchain
-from oamlink.errors import ChannelError, GeometryError
+from oamlink.errors import ChannelError, ConfigError, GeometryError
 from oamlink.rxchain import (OVERSAMPLE, SAMPLE_RATE, SYMBOL_RATE,
                              decide_symbols, noise_sigma, to_symbols,
                              wrap_degrees)
@@ -102,6 +102,11 @@ def test_apply_channel_guard_padding():
     assert np.all(streams[:, :32] == 0)
     assert np.all(streams[:, -32:] == 0)
     assert np.allclose(streams[0, 32:-32], chan.h[0] * pilot.samples)
+    # a guard pads both sides of the pilot, so it is at least 0 samples
+    with pytest.raises(GeometryError, match="guard_samples"):
+        apply_channel(pilot, chan, 20.0, guard_samples=-1)
+    with pytest.raises(GeometryError, match="guard_samples"):
+        receive(chan, pilot, 20.0, guard_samples=-1)
 
 
 def test_all_zero_channel_rejected():
@@ -450,3 +455,17 @@ def test_compute_metrics_deltas():
     # 170 -> -170 is a +20 degree rotation once wrapped
     assert d["d_phases_deg"][0] == pytest.approx(20.0)
     assert d["d_phases_deg"][1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), -float("inf"), -1e5, 1e5])
+def test_an_snr_with_no_noise_scale_is_refused_by_name(snr_db):
+    # NaN and -inf have no noise scale, and 10**(snr_db/10) underflows to 0
+    # at -1e5 dB and overflows at 1e5 dB: receive names snr_db, as the
+    # config names rx.snr_db
+    pilot = generate_pilot(2, 1024)
+    chan = ChannelSnapshot(h=np.array([0.3 - 0.4j, -1.2 + 0j]))
+    with pytest.raises(ChannelError, match="snr_db"):
+        receive(chan, pilot, snr_db)
+    with pytest.raises(ConfigError) as err:
+        oamlink.validate_config({"rx": {"snr_db": snr_db}})
+    assert err.value.field == "rx.snr_db"

@@ -1,4 +1,5 @@
-"""Config handling, the scenario pipeline and the command-line interface."""
+"""Config handling and the scenario pipeline, with the command-line error
+each config rule gives; the commands themselves are ``test_cli``'s."""
 
 import csv
 import json
@@ -20,6 +21,7 @@ from oamlink.errors import (ChannelError, ConfigError, GeometryError,
                             OamLinkError, OutOfExtentError)
 from oamlink.scenario import (obstruction_from, ring_radius_for,
                               rx_positions_from, wavelength_from)
+from tests.test_cli import _cli_error, _strict_json
 
 
 def _small_cfg(**over):
@@ -674,14 +676,10 @@ def test_experiment_outputs_and_determinism(tmp_path):
 def test_a_noiseless_report_is_strict_json(tmp_path):
     # a noiseless run's config echo holds snr_db = inf, which strict JSON
     # has no number for
-    def refuse(constant):
-        raise ValueError(f"non-finite JSON value {constant}")
-
     cfg = validate_config({"grid": {"side": 64}})
     cfg["rx"]["snr_db"] = math.inf
     run_experiment(cfg, out_dir=tmp_path)
-    with open(tmp_path / "report.json") as fh:
-        report = json.load(fh, parse_constant=refuse)
+    report = _strict_json(tmp_path / "report.json")
     assert report["config"]["rx"]["snr_db"] == "inf"
 
 
@@ -713,112 +711,6 @@ def test_experiment_dumps_every_orders_fields_without_out_dir(tmp_path):
         for run in ("clear", "obstructed")]
     for path in tmp_path.iterdir():
         assert read_field(path).z_position == 50.0
-
-
-def test_cli_plan(tmp_path, capsys):
-    rc = main(["plan", "--out", str(tmp_path)])
-    assert rc == 0
-    plan = json.loads((tmp_path / "plan.json").read_text())
-    assert plan["max_beam_radius_m"] == pytest.approx(4.9152)
-    assert plan["reference_comparison"]["num_elements"]["discrepancy"] is True
-
-
-def test_cli_simulate_and_overrides(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "grid": {"side": 128, "extent_m": 2.0},
-        "healing": {"z_samples_m": [11.0, 50.0]},
-    }))
-    out = tmp_path / "out"
-    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out),
-               "--mode", "2", "--clear", "--snr-db", "25", "--dump-fields"])
-    assert rc == 0
-    summary = json.loads((out / "scenario.json").read_text())
-    assert summary["scenario"] == "clear"
-    # the snapshots are .oamf files alone, as experiment writes them
-    assert sorted(p.name for p in out.iterdir()) == [
-        "receiver_plane.oamf", "scenario.json", "source.oamf"]
-
-
-def test_cli_experiment_and_heal_curve(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "grid": {"side": 128, "extent_m": 2.0},
-        "healing": {"z_samples_m": [11.0, 50.0]},
-    }))
-    out = tmp_path / "out"
-    assert main(["experiment", "--config", str(cfg_path),
-                 "--out", str(out)]) == 0
-    assert (out / "report.json").exists()
-    rows = (out / "healing_curve.csv").read_text().splitlines()
-    assert len(rows) == 1 + 2 * 2    # header, then 2 modes x 2 planes
-    # the healing curves come from ``experiment``; heal-curve is gone
-    out2 = tmp_path / "out2"
-    with pytest.raises(SystemExit) as err:
-        main(["heal-curve", "--config", str(cfg_path), "--out", str(out2)])
-    assert err.value.code == 2
-    assert not out2.exists()
-
-
-def test_cli_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nonsense": 1}))
-    rc = main(["experiment", "--config", str(bad), "--out", str(tmp_path)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def _cli_error(argv, capsys):
-    """The one line ``main(argv)`` prints to stderr, which must end the run
-    with exit code 1."""
-    assert main(argv) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    return lines[0]
-
-
-def test_cli_input_errors_are_one_line(tmp_path, capsys):
-    # each of these used to end in a traceback: an AttributeError from
-    # validate_config, a FileNotFoundError, a JSONDecodeError, a
-    # UnicodeDecodeError and a FileExistsError
-    listed = tmp_path / "list.json"
-    listed.write_text("[1]")
-    assert "(top level)" in _cli_error(
-        ["plan", "--config", str(listed), "--out", str(tmp_path)], capsys)
-    with pytest.raises(ConfigError) as err:
-        validate_config([1])
-    assert err.value.field == "(top level)"
-    missing = tmp_path / "missing.json"
-    assert str(missing) in _cli_error(
-        ["plan", "--config", str(missing), "--out", str(tmp_path)], capsys)
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"grid": ')
-    binary = tmp_path / "binary.json"
-    binary.write_bytes(b"\xff\xfe")
-    for path in (malformed, binary):
-        assert str(path) in _cli_error(
-            ["experiment", "--config", str(path), "--out", str(tmp_path)],
-            capsys)
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    for command in ("plan", "simulate", "experiment"):
-        assert str(taken) in _cli_error(
-            [command, "--grid", "64", "--out", str(taken)], capsys)
-
-
-def test_cli_seed_and_grid_overrides(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "grid": {"extent_m": 2.0},
-        "healing": {"z_samples_m": [11.0, 50.0]},
-    }))
-    out = tmp_path / "o1"
-    rc = main(["experiment", "--config", str(cfg_path), "--out", str(out),
-               "--grid", "128", "--seed", "99"])
-    assert rc == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["grid"]["side"] == 128
-    assert report["config"]["rx"]["noise_seed"] == 99
 
 
 def test_stage_labels_are_prefixed():
